@@ -14,9 +14,6 @@ echo "==> kernel reference-equivalence + allocation-free suites"
 cargo test -q --offline -p ntc-timing reference:: --lib
 cargo test -q --offline -p ntc-timing --test alloc_free
 
-echo "==> cargo check --offline -p ntc-bench --features bench --benches"
-cargo check --offline -p ntc-bench --features bench --benches
-
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -139,25 +136,6 @@ NTC_SCREEN=off ./target/release/repro --fast --out target/repro-ci-screen-env \
   fig3.11 >/dev/null
 cmp target/repro-ci-screen-on/fig3_11.csv target/repro-ci-screen-env/fig3_11.csv
 grep -q '"screen_hits":0,' target/repro-ci-screen-env/manifest.json
-
-echo "==> incremental re-timing: on vs off, byte-identical CSVs, counters"
-# fig3.8's fast grid walks several chips on one topology, so the memo
-# pool re-times chip→chip deltas instead of re-analyzing — the armed
-# engine must record incremental passes, and disarming it (either
-# spelling) must not change a single CSV byte.
-rm -rf target/repro-ci-incr-on target/repro-ci-incr-off target/repro-ci-incr-env
-./target/release/repro --fast --out target/repro-ci-incr-on fig3.8 >/dev/null
-./target/release/repro --fast --no-incr --out target/repro-ci-incr-off \
-  fig3.8 >/dev/null
-cmp target/repro-ci-incr-on/fig3_8.csv target/repro-ci-incr-off/fig3_8.csv
-# Counters are emitted in a fixed key order (OracleStats::fields).
-grep -Eq '"sta_incremental":[1-9][0-9]*,' target/repro-ci-incr-on/manifest.json
-grep -q '"sta_incremental":0,' target/repro-ci-incr-off/manifest.json
-# NTC_INCR=off must behave exactly like --no-incr.
-NTC_INCR=off ./target/release/repro --fast --out target/repro-ci-incr-env \
-  fig3.8 >/dev/null
-cmp target/repro-ci-incr-on/fig3_8.csv target/repro-ci-incr-env/fig3_8.csv
-grep -q '"sta_incremental":0,' target/repro-ci-incr-env/manifest.json
 
 echo "==> repro --resume finishes a suite a failed experiment cut short"
 rm -rf target/repro-ci-resume

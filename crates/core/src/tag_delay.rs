@@ -138,17 +138,9 @@ pub struct OracleStats {
     /// the clock in force was incompatible with the screen thresholds, or
     /// the caller needed numeric delays — and ran/fetched the exact value.
     pub screen_fallbacks: u64,
-    /// Full from-scratch static timing analyses
+    /// Static timing analyses
     /// ([`ntc_timing::StaticTiming::analyze`] passes).
     pub sta_full: u64,
-    /// Incremental re-timing passes: chip→chip (or point-mutation) delay
-    /// deltas propagated through the retained engine instead of a full
-    /// analysis.
-    pub sta_incremental: u64,
-    /// Gates/nets actually re-folded across those incremental passes —
-    /// the work the delta propagation did, to set against a full pass's
-    /// `netlist.len()` per chip.
-    pub incr_gates_touched: u64,
 }
 
 impl OracleStats {
@@ -168,8 +160,10 @@ impl OracleStats {
             ("screen_misses", self.screen_misses),
             ("screen_fallbacks", self.screen_fallbacks),
             ("sta_full", self.sta_full),
-            ("sta_incremental", self.sta_incremental),
-            ("incr_gates_touched", self.incr_gates_touched),
+            // Retired incremental-STA counters, kept at 0 so the manifest
+            // and receipt key sets (read by perfbench) stay unchanged.
+            ("sta_incremental", 0),
+            ("incr_gates_touched", 0),
         ]
     }
 }
@@ -185,8 +179,6 @@ impl std::ops::AddAssign for OracleStats {
         self.screen_misses += rhs.screen_misses;
         self.screen_fallbacks += rhs.screen_fallbacks;
         self.sta_full += rhs.sta_full;
-        self.sta_incremental += rhs.sta_incremental;
-        self.incr_gates_touched += rhs.incr_gates_touched;
     }
 }
 
@@ -229,8 +221,6 @@ impl OracleScope {
             screen_misses: self.screen_misses.load(Ordering::Relaxed),
             screen_fallbacks: self.screen_fallbacks.load(Ordering::Relaxed),
             sta_full: sta.sta_full,
-            sta_incremental: sta.sta_incremental,
-            incr_gates_touched: sta.incr_gates_touched,
         }
     }
 }
@@ -284,8 +274,6 @@ pub fn take_oracle_stats() -> OracleStats {
         screen_misses: STAT_SCREEN_MISSES.swap(0, Ordering::Relaxed),
         screen_fallbacks: STAT_SCREEN_FALLBACKS.swap(0, Ordering::Relaxed),
         sta_full: sta.sta_full,
-        sta_incremental: sta.sta_incremental,
-        incr_gates_touched: sta.incr_gates_touched,
     }
 }
 
@@ -859,8 +847,6 @@ mod tests {
             screen_misses: 2,
             screen_fallbacks: 1,
             sta_full: 3,
-            sta_incremental: 1,
-            incr_gates_touched: 40,
         };
         total += OracleStats {
             gate_sims: 1,
@@ -870,8 +856,6 @@ mod tests {
             screen_misses: 0,
             screen_fallbacks: 2,
             sta_full: 1,
-            sta_incremental: 4,
-            incr_gates_touched: 2,
         };
         // Queries = answered lookups: sims + local + shared + screened.
         // Misses/fallbacks annotate *how* sims happened, not extra
@@ -887,8 +871,8 @@ mod tests {
                 ("screen_misses", 2),
                 ("screen_fallbacks", 3),
                 ("sta_full", 4),
-                ("sta_incremental", 5),
-                ("incr_gates_touched", 42),
+                ("sta_incremental", 0),
+                ("incr_gates_touched", 0),
             ]
         );
     }

@@ -28,7 +28,8 @@ use std::time::Duration;
 /// Manifest format identifier; bump on breaking shape changes.
 /// (`/2` added the per-record `cache` counters and `resumed` marker;
 /// `/3` added the oracle screen counters; `/4` the incremental-STA
-/// counters `sta_full` / `sta_incremental` / `incr_gates_touched`;
+/// counters `sta_full` / `sta_incremental` / `incr_gates_touched`, the
+/// last two now retired and always 0;
 /// `/5` the per-operating-point `voltages` cell counters; `/6` the
 /// requested voltage roster, the workload trace `source`, and the
 /// `workload` record/replay counters.)
@@ -222,8 +223,6 @@ impl RunRecord {
             screen_misses: u64_of(oracle_obj, "screen_misses")?,
             screen_fallbacks: u64_of(oracle_obj, "screen_fallbacks")?,
             sta_full: u64_of(oracle_obj, "sta_full")?,
-            sta_incremental: u64_of(oracle_obj, "sta_incremental")?,
-            incr_gates_touched: u64_of(oracle_obj, "incr_gates_touched")?,
         };
         let cache_obj = v
             .get("cache")
@@ -895,8 +894,6 @@ mod tests {
                 screen_misses: 4,
                 screen_fallbacks: 2,
                 sta_full: 3,
-                sta_incremental: 5,
-                incr_gates_touched: 1234,
             },
             cache: CacheStats {
                 disk_hits: 1,

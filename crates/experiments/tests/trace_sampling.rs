@@ -10,18 +10,26 @@
 //!   full trace's instructions and lands every per-scheme mean within a
 //!   pinned tolerance of the full run.
 //!
+//! * at `--jobs 8`, many cells of one benchmark racing on parallel
+//!   workers still record each trace file and sample each phase set
+//!   exactly once.
+//!
 //! One `#[test]` body: the workload telemetry counters are
-//! process-global, so the four runs must drain them sequentially (the
+//! process-global, so the runs must drain them sequentially (the
 //! same pattern as the serve and parallel-determinism suites).
 
 use ntc_core::scenario::SchemeSpec;
-use ntc_experiments::{run_grid_uncached, GridSpec, Regime};
+use ntc_experiments::{run_grid_uncached, runner, GridSpec, Regime};
 use ntc_varmodel::OperatingPoint;
 use ntc_workload::{Benchmark, TraceSource};
 use std::path::PathBuf;
 
 const TRACE_SEED: u64 = 9;
 const CYCLES: usize = 30_000;
+/// The `--jobs 8` stress pass: enough chips that every worker resolves
+/// the same trace cell, on a shorter trace to keep the pass cheap.
+const STRESS_CHIPS: usize = 8;
+const STRESS_CYCLES: usize = 5_000;
 
 /// Pinned conformance tolerances for the phase-sampled estimates, in
 /// absolute units of each metric, tuned empirically on the grid below.
@@ -153,6 +161,39 @@ fn record_replay_is_bit_identical_and_phases_stay_within_tolerance() {
     // the exact same result (determinism across the sample/load split).
     let phased_again = run_grid_uncached(&spec(TraceSource::Phases(dir.clone())));
     assert_eq!(phased_again, phased, "loaded phases == freshly sampled");
+
+    // ---- --jobs 8: one writer per file, exact counters ----------------
+    let stress_dir = dir.join("jobs8");
+    let stress = |source| GridSpec {
+        chips: STRESS_CHIPS,
+        cycles: STRESS_CYCLES,
+        ..spec(source)
+    };
+    runner::set_jobs(8);
+    run_grid_uncached(&stress(TraceSource::Record(stress_dir.clone())));
+    let record_stats = ntc_workload::take_stats();
+    assert_eq!(
+        record_stats.traces_recorded, 1,
+        "{STRESS_CHIPS} racing cells of one trace → one recording: {record_stats:?}"
+    );
+    run_grid_uncached(&stress(TraceSource::Phases(stress_dir.clone())));
+    let stress_stats = ntc_workload::take_stats();
+    runner::set_jobs(0);
+    let set = ntc_workload::simpoint::read_phases_file(&TraceSource::phases_path(
+        &stress_dir,
+        Benchmark::Mcf,
+        TRACE_SEED,
+        STRESS_CYCLES,
+    ))
+    .expect("the stress pass persists one phase set");
+    assert_eq!(
+        (stress_stats.phase_replays, stress_stats.phase_instructions),
+        (
+            STRESS_CHIPS as u64,
+            STRESS_CHIPS as u64 * set.simulated_instructions()
+        ),
+        "every cell replays the one sampled phase set: {stress_stats:?}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,10 +5,8 @@
 //! built around.
 //!
 //! * [`sta`] — static min/max arrival analysis and critical-path extraction
-//!   under a per-chip delay signature;
-//! * [`incr`] — retained incremental re-timing: delta-propagation of
-//!   arrival state and screen bounds across chips / operating points,
-//!   bit-identical to from-scratch analysis;
+//!   under a per-chip delay signature: one linear pass per fabricated
+//!   chip, counted by the `sta_full` telemetry counter;
 //! * [`dynamic`] — glitch-aware two-vector (initializing + sensitizing)
 //!   timing simulation producing per-output transition waveforms;
 //! * [`screen`] — conservative per-cycle screening (toggled-input cone
@@ -49,7 +47,6 @@
 pub mod choke;
 pub mod dynamic;
 pub mod errors;
-pub mod incr;
 pub mod paths;
 #[cfg(test)]
 mod reference;
@@ -64,10 +61,6 @@ pub use errors::{
     classify_cycle, classify_stream, illegal_transition_count, ClockSpec, CycleViolation,
     ErrorClass,
 };
-pub use incr::{
-    current_sta_scope, retime_count, set_sta_scope, take_sta_counters, IncrementalScreen,
-    IncrementalSta, IncrementalTiming, RetimeOutcome, StaCounters, StaScope,
-};
 pub use paths::{k_critical_paths, RankedPath, SlackReport};
 pub use screen::{ScreenBounds, ScreenVerdict, ScreenedSim, SCREEN_GUARD_PS};
-pub use sta::{StaticTiming, TimingPath};
+pub use sta::{set_sta_scope, take_sta_counters, StaCounters, StaScope, StaticTiming, TimingPath};

@@ -62,9 +62,7 @@ pub struct ScreenBounds {
     /// `to_out[n] = (min, max)`: shortest and longest delay from a toggle
     /// at net `n` to any primary output; `(+inf, -inf)` when no output is
     /// reachable from `n`. Min and max interleave so one fanout visit in
-    /// [`fold_net`](Self::fold_net) touches one cache line, not two — the
-    /// incremental refresh ([`crate::incr`]) gathers these at random net
-    /// indices, where the extra line is a real miss.
+    /// [`fold_net`](Self::fold_net) touches one cache line, not two.
     to_out: Vec<(f64, f64)>,
     /// Whether net `n` is a primary output — the seed of its own fold
     /// (a toggle at an output is already *at* an output, delay `0.0`).
@@ -86,32 +84,17 @@ impl ScreenBounds {
     /// the static critical delay).
     ///
     /// Each net's bounds come from one descending-order **gather** over
-    /// the netlist's CSR fanout index — the same per-net fold the
-    /// incremental engine ([`crate::incr`]) replays on dirty cones, so a
-    /// refreshed table is bit-for-bit a rebuilt one. (The gather visits
-    /// the identical candidate set the historical input-scatter formulation
-    /// produced; `f64::max`/`min` select among identical sums, so the
-    /// stored bits are unchanged.)
+    /// the netlist's CSR fanout index. (The gather visits the identical
+    /// candidate set the historical input-scatter formulation produced;
+    /// `f64::max`/`min` select among identical sums, so the stored bits
+    /// are unchanged.)
     ///
     /// # Panics
     ///
     /// Panics if the signature length does not match the netlist, or if
     /// the bound tables disagree with the static analysis.
     pub fn build(nl: &Netlist, sig: &ChipSignature, sta: &StaticTiming) -> Self {
-        Self::build_from_delays(nl, sig.delays_ps(), sta)
-    }
-
-    /// [`build`](Self::build) from a bare per-gate delay slice — what the
-    /// incremental engine ([`crate::incr`]) holds once the signature is
-    /// loaded, so it can (re)build tables on demand without a
-    /// [`ChipSignature`] round-trip. Same table bits as `build` for the
-    /// signature the slice came from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delay slice length does not match the netlist, or if
-    /// the bound tables disagree with the static analysis.
-    pub fn build_from_delays(nl: &Netlist, delays: &[f64], sta: &StaticTiming) -> Self {
+        let delays = sig.delays_ps();
         assert_eq!(delays.len(), nl.len(), "signature/netlist mismatch");
         let n = nl.len();
         let mut bounds = ScreenBounds {
@@ -126,26 +109,21 @@ impl ScreenBounds {
         // Nets are in topological order by ascending index, so one
         // descending pass folds every net after its entire fanout is final.
         for j in (0..n).rev() {
-            let (lo, hi) = bounds.fold_net(nl, delays, j);
-            bounds.to_out[j] = (lo, hi);
+            bounds.to_out[j] = bounds.fold_net(nl, delays, j);
         }
         bounds.check_against_critical();
         bounds
     }
 
-    /// Gather one net's toggle-to-output bounds from the *current* table
-    /// state of its fanout gates: a toggle at net `j` that propagates
-    /// through fanout gate `g` reaches the outputs `g` reaches, delayed by
-    /// `g`'s own delay — mirroring the forward convention of `sta.rs`
-    /// (primary inputs are pseudo gates and contribute no delay; a path's
-    /// delay includes the output gate's). Output nets seed at `0.0` (a
-    /// toggle there *is* at an output).
-    ///
-    /// This is the one canonical per-net fold: [`build`](Self::build)
-    /// calls it for every net, the incremental refresh only for dirty
-    /// ones — identical fanout state folds to identical bits.
+    /// Gather one net's toggle-to-output bounds from the table state of
+    /// its fanout gates: a toggle at net `j` that propagates through
+    /// fanout gate `g` reaches the outputs `g` reaches, delayed by `g`'s
+    /// own delay — mirroring the forward convention of `sta.rs` (primary
+    /// inputs are pseudo gates and contribute no delay; a path's delay
+    /// includes the output gate's). Output nets seed at `0.0` (a toggle
+    /// there *is* at an output).
     #[inline]
-    pub(crate) fn fold_net(&self, nl: &Netlist, delays: &[f64], j: usize) -> (f64, f64) {
+    fn fold_net(&self, nl: &Netlist, delays: &[f64], j: usize) -> (f64, f64) {
         let (mut lo, mut hi) = if self.is_output[j] {
             (0.0f64, 0.0f64)
         } else {
@@ -163,35 +141,14 @@ impl ScreenBounds {
         (lo, hi)
     }
 
-    /// Store one net's bounds (incremental-refresh write access).
-    #[inline]
-    pub(crate) fn set_net(&mut self, j: usize, lo: f64, hi: f64) {
-        self.to_out[j] = (lo, hi);
-    }
-
-    /// The `(min, max)` toggle-to-output bound of net `j` — `(+inf, -inf)`
-    /// when no output is reachable from `j`. The incremental refresh's
-    /// convergence test reads this, and the differential suite compares
-    /// refreshed tables against rebuilt ones through it.
-    #[inline]
-    pub fn net_bounds(&self, j: usize) -> (f64, f64) {
-        self.to_out[j]
-    }
-
-    /// Replace the cached static critical delay (the incremental refresh
-    /// re-derives it from the updated [`StaticTiming`]).
-    pub(crate) fn set_static_critical_ps(&mut self, ps: f64) {
-        self.static_critical_ps = ps;
-    }
-
     /// Cross-check the tables against the recorded static critical delay:
     /// the longest toggle-to-output bound over the primary inputs must
-    /// equal it. Called after every full build *and* incremental refresh.
+    /// equal it.
     ///
     /// # Panics
     ///
     /// Panics when the tables and the static analysis disagree.
-    pub(crate) fn check_against_critical(&self) {
+    fn check_against_critical(&self) {
         let table_critical = self
             .inputs
             .iter()

@@ -290,6 +290,15 @@ pub fn decode_phases(bytes: &[u8]) -> Result<PhaseSet, TraceBinError> {
         let len = usize::try_from(u64_at(pos + 8).ok_or_else(truncated)?)
             .map_err(|_| truncated())?;
         pos += 16;
+        // Bound the file-supplied length by the bytes actually present
+        // before allocating for it: a checksum-valid file may still lie.
+        let needed = len.saturating_mul(RECORD_BYTES);
+        if needed > body.len().saturating_sub(pos) {
+            return Err(TraceBinError::Truncated {
+                expected: pos.saturating_add(needed).saturating_add(8),
+                actual: bytes.len(),
+            });
+        }
         let mut slice = Vec::with_capacity(len);
         for r in 0..len {
             let rec = body.get(pos..pos + RECORD_BYTES).ok_or_else(truncated)?;
@@ -409,6 +418,23 @@ mod tests {
         write_phases_file(&path, &set).expect("write");
         assert_eq!(read_phases_file(&path).expect("read"), set);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn huge_slice_length_is_truncated_not_allocated() {
+        // A checksum-valid file whose first slice claims u64::MAX / 64
+        // records: decoding must refuse it before reserving the memory.
+        let mut body = Vec::new();
+        body.extend_from_slice(PHASES_MAGIC);
+        for field in [PHASES_VERSION, 100, 1_000, 1, 1, u64::MAX / 64] {
+            body.extend_from_slice(&field.to_le_bytes());
+        }
+        let sum = fnv1a64(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            decode_phases(&body),
+            Err(TraceBinError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   release.
 //! * [`TraceSource::Record`] — generate like `Generator` *and* write the
 //!   binary trace file into the directory (atomically, if not already
-//!   present). Results are identical to `Generator` by construction —
+//!   present; one writer per file per process). Results are identical to `Generator` by construction —
 //!   the generated stream itself is simulated — so recording is free to
 //!   share cache identity with generator runs.
 //! * [`TraceSource::Replay`] — decode the cell's recorded trace file and
@@ -34,7 +34,7 @@ use crate::simpoint::{self, PhaseSet, DEFAULT_K};
 use crate::trace_bin;
 use crate::{Benchmark, TraceGenerator};
 use ntc_isa::Instruction;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -119,7 +119,10 @@ impl TraceSource {
             TraceSource::Record(dir) => {
                 let trace = Arc::new(TraceGenerator::new(bench, seed).trace(cycles));
                 let path = Self::trace_path(dir, bench, seed, cycles);
-                if !path.is_file() {
+                // Every chip × scheme × voltage cell of the benchmark
+                // resolves this path, often on parallel sweep workers:
+                // the claim lets exactly one of them write and count it.
+                if claim_record(&path) && !path.is_file() {
                     trace_bin::write_trace_file(&path, &trace)
                         .map_err(|e| format!("recording {}: {e}", path.display()))?;
                     STAT_TRACES_RECORDED.fetch_add(1, Ordering::Relaxed);
@@ -173,8 +176,24 @@ impl std::fmt::Display for TraceSource {
 /// per (chip × scheme × voltage) cell, and a process touches only a
 /// handful of distinct files, so an unbounded map is fine.
 static TRACE_MEMO: Mutex<Option<HashMap<PathBuf, Arc<Vec<Instruction>>>>> = Mutex::new(None);
-/// Same, for sampled phase sets.
-static PHASE_MEMO: Mutex<Option<HashMap<PathBuf, Arc<PhaseSet>>>> = Mutex::new(None);
+type PhaseCell = Arc<Mutex<Option<Arc<PhaseSet>>>>;
+
+/// Same, for sampled phase sets: one cell per file, locked while its
+/// set is loaded or sampled, so exactly one thread samples and writes
+/// each `.ntp` file.
+static PHASE_MEMO: Mutex<Option<HashMap<PathBuf, PhaseCell>>> = Mutex::new(None);
+/// Trace files a [`TraceSource::Record`] cell has claimed in this process.
+static RECORD_CLAIMS: Mutex<Option<HashSet<PathBuf>>> = Mutex::new(None);
+
+/// Claim `path` for recording: true for the first caller in this process,
+/// false for every later one.
+fn claim_record(path: &Path) -> bool {
+    RECORD_CLAIMS
+        .lock()
+        .expect("record claims poisoned")
+        .get_or_insert_with(HashSet::new)
+        .insert(path.to_path_buf())
+}
 
 fn memo_trace(path: &Path) -> Result<Arc<Vec<Instruction>>, String> {
     if let Some(hit) = TRACE_MEMO
@@ -203,12 +222,15 @@ fn memo_phases(
     cycles: usize,
 ) -> Result<Arc<PhaseSet>, String> {
     let path = TraceSource::phases_path(dir, bench, seed, cycles);
-    if let Some(hit) = PHASE_MEMO
+    let cell = PHASE_MEMO
         .lock()
         .expect("phase memo poisoned")
         .get_or_insert_with(HashMap::new)
-        .get(&path)
-    {
+        .entry(path.clone())
+        .or_default()
+        .clone();
+    let mut slot = cell.lock().expect("phase memo poisoned");
+    if let Some(hit) = slot.as_ref() {
         return Ok(hit.clone());
     }
     let set = if path.is_file() {
@@ -229,11 +251,7 @@ fn memo_phases(
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         set
     };
-    PHASE_MEMO
-        .lock()
-        .expect("phase memo poisoned")
-        .get_or_insert_with(HashMap::new)
-        .insert(path, set.clone());
+    *slot = Some(set.clone());
     Ok(set)
 }
 

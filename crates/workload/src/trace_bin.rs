@@ -19,7 +19,7 @@
 //! [8]  FNV-1a 64 checksum of every preceding byte
 //! ```
 //!
-//! Files are written atomically (process-unique temp name + `rename`),
+//! Files are written atomically (writer-unique temp name + `rename`),
 //! so a crashed recorder can never leave a half-written trace under the
 //! final name.
 
@@ -27,6 +27,7 @@ use ntc_isa::{Instruction, Opcode};
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Leading magic of every binary trace file.
 pub const MAGIC: &[u8; 8] = b"NTCTRAC1";
@@ -199,7 +200,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<Instruction>, TraceBinError> {
 }
 
 /// Write a binary trace file atomically: the bytes land under a
-/// process-unique temp name first and are `rename`d into place, so
+/// writer-unique temp name first and are `rename`d into place, so
 /// readers only ever observe complete files.
 ///
 /// # Errors
@@ -214,8 +215,12 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
+    // Unique per writer, not just per process: two threads writing the
+    // same path must never share (and race on) one temp file.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp-{}", std::process::id()));
+    tmp.push(format!(".tmp-{}-{seq}", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);
     let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
     if written.is_err() {
