@@ -10,9 +10,10 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> kernel reference-equivalence + allocation-free suites"
+echo "==> kernel reference-equivalence, allocation-free + pruning-differential suites"
 cargo test -q --offline -p ntc-timing reference:: --lib
 cargo test -q --offline -p ntc-timing --test alloc_free
+cargo test -q --offline -p ntc-timing --test pruning_differential
 
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -35,6 +36,27 @@ grep -qx 'vdd v0.80 (0.80 V)' target/repro-ci-list.txt
 
 echo "==> cargo doc --offline --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
+
+echo "==> repro --jobs 2: every fast CSV matches its pinned perfbench digest"
+# perfbench/digests.json pins the SHA-256 of each fast-scale CSV; this
+# step reads it and never writes it.
+rm -rf target/repro-ci-suite
+./target/release/repro --jobs 2 --out target/repro-ci-suite > /dev/null
+if command -v jq >/dev/null 2>&1; then
+  jq -r '.repro.fast | to_entries[]
+    | "\(.value)  target/repro-ci-suite/\(.key | gsub("[.]"; "_")).csv"' \
+    perfbench/digests.json > target/repro-ci-suite.sha256
+elif command -v python3 >/dev/null 2>&1; then
+  python3 -c '
+import json
+for k, v in json.load(open("perfbench/digests.json"))["repro"]["fast"].items():
+    print(v + "  target/repro-ci-suite/" + k.replace(".", "_") + ".csv")
+' > target/repro-ci-suite.sha256
+else
+  echo "FAIL: reading perfbench/digests.json needs jq or python3"; exit 1
+fi
+test "$(wc -l < target/repro-ci-suite.sha256)" = 27
+sha256sum --quiet -c target/repro-ci-suite.sha256
 
 echo "==> repro --fast fig3.4"
 ./target/release/repro --fast fig3.4

@@ -631,27 +631,17 @@ pub fn load(dir: &Path, spec: &GridSpec) -> Option<GridResult> {
 }
 
 /// Persist `result` for `spec` under `dir`, atomically: the artifact is
-/// written to a process-unique temp file and renamed into place, so
-/// readers only ever observe complete artifacts.
+/// written to a writer-unique temp file (pid + process-wide sequence, so
+/// threads storing the same spec never share one) and renamed into
+/// place, so readers only ever observe complete artifacts.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors (directory creation, write, rename); the temp
 /// file is cleaned up on failure.
 pub fn store(dir: &Path, spec: &GridSpec, result: &GridResult) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
     let bytes = encode(spec, result);
-    let path = artifact_path(dir, spec);
-    let tmp = dir.join(format!(
-        ".{}.tmp-{}",
-        cache_key(spec),
-        std::process::id()
-    ));
-    let written = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path));
-    if written.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    written?;
+    ntc_workload::trace_bin::write_atomic(&artifact_path(dir, spec), &bytes)?;
     bump(&BYTES_WRITTEN, |s| &s.bytes_written, bytes.len() as u64);
     Ok(())
 }

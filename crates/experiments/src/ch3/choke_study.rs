@@ -3,9 +3,9 @@
 //! fabricated 64-bit ALUs, with CDL/CGL extraction.
 
 use ntc_netlist::generators::alu::{Alu, AluFunc};
-use ntc_timing::{identify_choke_event, CdlCglProfile, DynamicSim, StaticTiming};
-use ntc_varmodel::{ChipSignature, Corner, VariationParams};
+use ntc_timing::{identify_choke_event, CdlCglProfile, CycleTiming, DynamicSim, StaticTiming};
 use ntc_varmodel::rng::SplitMix64;
+use ntc_varmodel::{ChipSignature, Corner, VariationParams};
 use std::collections::HashMap;
 
 /// The eleven ALU operations of the paper's Fig. 3.2 study.
@@ -126,6 +126,7 @@ pub fn run_choke_study(
         // observation (checked in debug builds).
         debug_assert!(StaticTiming::analyze(nl, &sig).critical_delay_ps(nl) > 0.0);
         let mut sim = DynamicSim::new(nl, &sig);
+        let mut timing = CycleTiming::default();
         let mut per_op: HashMap<AluFunc, CdlCglProfile> = HashMap::new();
         let mut cdl_by_owm: HashMap<AluFunc, (f64, f64)> = HashMap::new();
         for &op in &STUDY_OPS {
@@ -134,10 +135,17 @@ pub fn run_choke_study(
                 continue;
             }
             for &(a1, b1, a2, b2) in &vectors[&op] {
-                // The lean path fills the same waveforms, so
-                // `sensitized_gates` below still sees this cycle's activity.
-                let t = sim.simulate_pair_minmax(&alu.encode(op, a1, b1), &alu.encode(op, a2, b2));
-                let Some(d_pv) = t.max_ps else { continue };
+                // The full-activity path: `sensitized_gates` below must see
+                // every toggled gate, not just the observable cone the lean
+                // min/max path simulates.
+                sim.simulate_pair_into(
+                    &alu.encode(op, a1, b1),
+                    &alu.encode(op, a2, b2),
+                    &mut timing,
+                );
+                let Some(d_pv) = timing.max_delay_ps else {
+                    continue;
+                };
                 let sensitized = sim.sensitized_gates();
                 // A choke path exists when the operation's sensitized delay
                 // overshoots the operation's own nominal critical delay —

@@ -634,8 +634,10 @@ impl Json {
 /// Returns a byte offset + message for the first syntax error.
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -646,10 +648,18 @@ pub fn parse_json(src: &str) -> Result<Json, String> {
     Ok(value)
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Every document
+/// this crate writes is a few levels deep; the cap keeps a hostile line
+/// of brackets from overflowing the recursive reader's stack.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// Recursive-descent JSON reader over raw bytes.
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -690,8 +700,8 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -699,6 +709,19 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    fn nested(&mut self, read: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = read(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -807,11 +830,10 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the source is a &str, so
-                    // char boundaries are sound).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_owned())?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar: every step advances by
+                    // whole scalars or ASCII bytes, so `pos` is a char
+                    // boundary of the source.
+                    let c = self.src[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -14,6 +14,8 @@
 //!   studies: parallel-prefix and ripple adders, an array multiplier,
 //!   barrel shifters, bitwise logic - composed into the width-parametric
 //!   [`Alu`](generators::alu::Alu) and [`ExStage`](generators::ex_stage::ExStage);
+//! * the [control-cone index](control) that tells the dynamic timing
+//!   kernel which datapath units a stable `op` decode leaves unobservable;
 //! * the Razor-style [hold-fixing buffer-insertion pass](buffer_insertion)
 //!   whose failure mode at NTC ("choke buffers") Chapter 4 studies;
 //! * [gate-level synthesis](synth) of the DCS/Trident hardware blocks for
@@ -36,6 +38,7 @@
 
 pub mod buffer_insertion;
 pub mod cell;
+pub mod control;
 pub mod generators;
 mod netlist;
 pub mod synth;

@@ -7,8 +7,10 @@
 //! `ntc-timing` relies on.
 
 use crate::cell::CellKind;
+use crate::control::ControlIndex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A signal: the output net of one gate, identified by the gate's index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -128,6 +130,9 @@ pub struct Netlist {
     /// gate.
     fanout_offsets: Vec<u32>,
     fanout_targets: Vec<u32>,
+    /// The control-cone index (see [`crate::control`]), built once in
+    /// [`Builder::finish`] and shared by every clone.
+    control: Option<Arc<ControlIndex>>,
 }
 
 impl Netlist {
@@ -217,26 +222,12 @@ impl Netlist {
     }
 
     /// Evaluate the netlist and return the value of *every* signal, indexed
-    /// by [`Signal::index`]. Used by the dynamic timing simulator to settle
-    /// the initializing vector.
+    /// by [`Signal::index`].
     ///
     /// # Panics
     ///
     /// Panics if `pi_values.len()` differs from the number of primary inputs.
     pub fn eval_all(&self, pi_values: &[bool]) -> Vec<bool> {
-        let mut values = Vec::new();
-        self.eval_all_into(pi_values, &mut values);
-        values
-    }
-
-    /// [`eval_all`](Self::eval_all) into a caller-owned buffer, so settle
-    /// loops (the dynamic timing simulator runs one per vector pair) reuse
-    /// one allocation across calls. The buffer is cleared and refilled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi_values.len()` differs from the number of primary inputs.
-    pub fn eval_all_into(&self, pi_values: &[bool], values: &mut Vec<bool>) {
         assert_eq!(
             pi_values.len(),
             self.inputs.len(),
@@ -244,22 +235,33 @@ impl Netlist {
             pi_values.len(),
             self.inputs.len()
         );
-        values.clear();
-        values.resize(self.gates.len(), false);
-        let mut pi_iter = pi_values.iter();
-        let mut scratch = [false; 3];
-        for (i, g) in self.gates.iter().enumerate() {
-            values[i] = match g.kind {
-                CellKind::Input => *pi_iter.next().expect("input count checked above"),
-                kind => {
-                    let arity = kind.arity();
-                    for (j, s) in g.ins[..arity].iter().enumerate() {
-                        scratch[j] = values[s.index()];
-                    }
-                    kind.eval(&scratch[..arity])
-                }
-            };
+        let mut values = vec![false; self.gates.len()];
+        for (s, &v) in self.inputs.iter().zip(pi_values) {
+            values[s.index()] = v;
         }
+        for i in 0..self.gates.len() {
+            self.settle_gate(&mut values, i);
+        }
+        values
+    }
+
+    /// Settle gate `i` in `values` (indexed by [`Signal::index`]) from its
+    /// fanins' entries, which must already hold settled values. Primary
+    /// inputs have no logic function and are left as they are. The
+    /// dynamic timing simulator settles only the gates a cycle can
+    /// observe with it.
+    #[inline]
+    pub fn settle_gate(&self, values: &mut [bool], i: usize) {
+        let g = &self.gates[i];
+        if g.kind == CellKind::Input {
+            return;
+        }
+        let arity = g.kind.arity();
+        let mut scratch = [false; 3];
+        for (j, s) in g.ins[..arity].iter().enumerate() {
+            scratch[j] = values[s.index()];
+        }
+        values[i] = g.kind.eval(&scratch[..arity]);
     }
 
     /// Gate indices fed by `sig`'s net, in ascending (topological) order —
@@ -277,6 +279,31 @@ impl Netlist {
         let lo = self.fanout_offsets[i] as usize;
         let hi = self.fanout_offsets[i + 1] as usize;
         &self.fanout_targets[lo..hi]
+    }
+
+    /// The control-cone index: `None` unless the netlist has an `op`
+    /// input port whose decoded lines gate at least one AND2.
+    #[inline]
+    pub fn control_index(&self) -> Option<&ControlIndex> {
+        self.control.as_deref()
+    }
+
+    /// Live-gate mask, one bit per gate, for a cycle in which the gating
+    /// nets in slot set `stable0` (bit `k` ↔
+    /// [`ControlIndex::gating_nets`]`()[k]`) hold a stable 0: a gate is
+    /// live iff it is a control net or has a path to an output that
+    /// crosses no AND2 gated by one of those nets. Derived once per set
+    /// and memoized in the shared index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has no [`control_index`](Self::control_index)
+    /// or `stable0` is shorter than its slot count.
+    pub fn live_gates(&self, stable0: &[u64]) -> Arc<[u64]> {
+        self.control
+            .as_ref()
+            .expect("live_gates needs a control index")
+            .live_gates(self, stable0)
     }
 
     /// Per-gate fanout counts (number of gate input pins each signal feeds,
@@ -614,7 +641,7 @@ impl Builder {
     /// the generator).
     pub fn finish(self) -> Netlist {
         let (fanout_offsets, fanout_targets) = build_fanout_index(&self.gates);
-        let nl = Netlist {
+        let mut nl = Netlist {
             gates: self.gates,
             inputs: self.inputs,
             outputs: self.outputs,
@@ -622,6 +649,7 @@ impl Builder {
             output_ports: self.output_ports,
             fanout_offsets,
             fanout_targets,
+            control: None,
         };
         for ports in [&nl.input_ports, &nl.output_ports] {
             for (i, p) in ports.iter().enumerate() {
@@ -633,6 +661,7 @@ impl Builder {
             }
         }
         debug_assert!(nl.validate().is_ok());
+        nl.control = ControlIndex::build(&nl).map(Arc::new);
         nl
     }
 }
@@ -747,14 +776,6 @@ mod tests {
         }
         // a feeds xor(axb) and maj(cout): two fanout pins.
         assert_eq!(nl.fanout_of(nl.inputs()[0]).len(), 2);
-    }
-
-    #[test]
-    fn eval_all_into_reuses_buffer() {
-        let nl = full_adder_netlist();
-        let mut buf = vec![true; 99];
-        nl.eval_all_into(&[true, true, false], &mut buf);
-        assert_eq!(buf, nl.eval_all(&[true, true, false]));
     }
 
     #[test]

@@ -23,6 +23,31 @@
 //! only the cost of skipping them changes (O(gates) scan → O(words)
 //! bitset sweep plus work proportional to actual switching activity).
 //!
+//! # Observability pruning
+//!
+//! The ALU computes every unit in parallel and selects the result through
+//! a one-hot AND–OR mux, so most of a cycle's events die at an AND whose
+//! decoded `op` line is 0. The min/max entry points skip those gates
+//! exactly, using the netlist's [control index](ntc_netlist::control):
+//!
+//! 1. After seeding, the control cone (the `op` decoder) is settled and
+//!    swept first. Its gates read only `op` bits, so its waveforms are
+//!    then final.
+//! 2. A gating net that settled to 0 and never toggles is *stable 0*;
+//!    a glitching or selected line never is.
+//! 3. Only the gates in the memoized live mask for that stable-0 set are
+//!    settled and swept; the dirty marks of the others — the gates whose
+//!    every path to an output crosses an AND held by a stable-0 net — are
+//!    dropped.
+//!
+//! This is exact. An AND2 with a stable 0 on one pin is 0 when settled
+//! and at every candidate time, so it never emits a toggle, whatever its
+//! other pin holds. A skipped gate reaches every output, and every live
+//! gate, only through such an AND, so no output waveform — and no min or
+//! max — changes. The full-activity entry points (`simulate_pair_into`,
+//! `simulate_pair`, and hence [`DynamicSim::sensitized_gates`]) sweep the
+//! same control-first order but skip nothing.
+//!
 //! # Allocation discipline
 //!
 //! All per-net state is inline: a `Wave` holds a fixed-capacity
@@ -34,6 +59,7 @@
 
 use ntc_netlist::Netlist;
 use ntc_varmodel::ChipSignature;
+use std::sync::Arc;
 
 /// Maximum transitions tracked per net within one cycle. Nets that glitch
 /// more keep their first and last transitions (the ones that matter for
@@ -172,6 +198,12 @@ pub struct SimWorkspace {
     /// need resetting next call, so per-call cost scales with switching
     /// activity, not netlist size.
     active: Vec<u32>,
+    /// Stable-0 gating-net slot set of the current call (the live-mask
+    /// memo key), reused across calls.
+    stable0: Vec<u64>,
+    /// Whether the most recent call may have skipped unobservable gates,
+    /// leaving their waves empty.
+    pruned: bool,
 }
 
 impl SimWorkspace {
@@ -184,6 +216,8 @@ impl SimWorkspace {
         if self.waves.len() != n {
             self.waves.clear();
             self.waves.resize(n, Wave::default());
+            self.settle.clear();
+            self.settle.resize(n, false);
             self.dirty.clear();
             self.dirty.resize(n.div_ceil(64), 0);
             self.active.clear();
@@ -192,20 +226,28 @@ impl SimWorkspace {
 
     /// Settle `initializing`, apply `sensitizing` at t = 0 and propagate
     /// transition waveforms through every gate reachable from a toggled
-    /// net. Returns the total internal toggle count.
+    /// net. With `prune`, gates the cycle's stable `op` decode leaves
+    /// unobservable are skipped (see the module docs). Returns the total
+    /// internal toggle count of the gates simulated.
     fn propagate(
         &mut self,
         nl: &Netlist,
         sig: &ChipSignature,
         initializing: &[bool],
         sensitizing: &[bool],
+        prune: bool,
     ) -> usize {
         assert_eq!(sig.delays_ps().len(), nl.len(), "signature/netlist mismatch");
+        assert_eq!(initializing.len(), nl.inputs().len(), "init vector width");
         assert_eq!(sensitizing.len(), nl.inputs().len(), "sens vector width");
         self.bind(nl.len());
+        self.pruned = prune;
 
-        // Settle the initializing vector (width-checked by eval_all_into).
-        nl.eval_all_into(initializing, &mut self.settle);
+        // The initializing vector on the primary inputs; logic gates are
+        // settled below, the control cone first.
+        for (s, &v) in nl.inputs().iter().zip(initializing) {
+            self.settle[s.index()] = v;
+        }
 
         // Reset only the waves the previous call toggled; everything else
         // is already quiet.
@@ -225,8 +267,54 @@ impl SimWorkspace {
             if new != self.settle[i] {
                 self.waves[i].push_toggle(0.0);
                 self.active.push(i as u32);
-                for &g in nl.fanout_of_index(i) {
-                    self.dirty[g as usize / 64] |= 1u64 << (g % 64);
+                self.mark_fanout(nl, i);
+            }
+        }
+
+        let mut internal_toggles = 0usize;
+        let mut cand = [0.0f64; MAX_CANDIDATES];
+        let mut live: Option<Arc<[u64]>> = None;
+        if let Some(ctl) = nl.control_index() {
+            // The control cone reads only `op` bits, so its settled values
+            // and waveforms are final once its own gates are swept in
+            // order — before any datapath gate, wherever a pass placed
+            // them.
+            for &g in ctl.control_gates() {
+                nl.settle_gate(&mut self.settle, g as usize);
+                let (word, bit) = (g as usize / 64, 1u64 << (g % 64));
+                if self.dirty[word] & bit != 0 {
+                    self.dirty[word] &= !bit;
+                    internal_toggles += self.eval_gate(nl, sig, g as usize, &mut cand);
+                }
+            }
+            if prune {
+                let slots = ctl.gating_nets().len();
+                self.stable0.clear();
+                self.stable0.resize(slots.div_ceil(64), 0);
+                for (k, &c) in ctl.gating_nets().iter().enumerate() {
+                    let c = c as usize;
+                    if !self.settle[c] && self.waves[c].len == 0 {
+                        self.stable0[k / 64] |= 1u64 << (k % 64);
+                    }
+                }
+                if self.stable0.iter().any(|&w| w != 0) {
+                    live = Some(nl.live_gates(&self.stable0));
+                }
+            }
+        }
+
+        // Settle what the sweep can read: every gate, or only the live
+        // ones. A live gate reads a skipped fanin only through a cut AND,
+        // whose settled 0 does not depend on it.
+        match &live {
+            None => (0..nl.len()).for_each(|i| nl.settle_gate(&mut self.settle, i)),
+            Some(mask) => {
+                for (word, &bits) in mask.iter().enumerate() {
+                    let mut bits = bits;
+                    while bits != 0 {
+                        nl.settle_gate(&mut self.settle, word * 64 + bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
                 }
             }
         }
@@ -234,82 +322,100 @@ impl SimWorkspace {
         // Sweep the worklist in ascending gate order — topological order,
         // so a gate is visited only after every fanin waveform is final.
         // Fanout marks always land ahead of the cursor (targets have larger
-        // indices), so each dirty gate is processed exactly once.
-        let mut internal_toggles = 0usize;
-        let mut cand = [0.0f64; MAX_CANDIDATES];
+        // indices), so each dirty gate is processed exactly once. Marks on
+        // unobservable gates are dropped unvisited.
         for word in 0..self.dirty.len() {
+            let keep = live.as_ref().map_or(u64::MAX, |l| l[word]);
             loop {
-                let bits = self.dirty[word];
+                let bits = self.dirty[word] & keep;
                 if bits == 0 {
                     break;
                 }
                 let bit = bits.trailing_zeros() as usize;
                 self.dirty[word] &= !(1u64 << bit);
-                let i = word * 64 + bit;
-
-                let gate = &nl.gates()[i];
-                let kind = gate.kind();
-                debug_assert!(!kind.is_pseudo(), "pseudo-cells have no fanins");
-                let ins = gate.inputs();
-
-                // Inputs precede gate i topologically, so splitting at i
-                // separates the read-only fanin waves from this gate's
-                // output wave.
-                let (fanin_waves, rest) = self.waves.split_at_mut(i);
-                let out_wave = &mut rest[0];
-
-                // Gather candidate evaluation times from input toggles.
-                let mut n = 0usize;
-                for s in ins {
-                    for &t in fanin_waves[s.index()].toggles() {
-                        cand[n] = t;
-                        n += 1;
-                    }
-                }
-                if n == 0 {
-                    continue;
-                }
-                let cand = &mut cand[..n];
-                cand.sort_by(f64::total_cmp);
-                // Epsilon-dedup against the last retained candidate — the
-                // exact semantics of `Vec::dedup_by`.
-                let mut m = 1usize;
-                for k in 1..n {
-                    if (cand[k] - cand[m - 1]).abs() < 1e-9 {
-                        continue;
-                    }
-                    cand[m] = cand[k];
-                    m += 1;
-                }
-
-                let delay = sig.delay_ps(i);
-                let mut last_val = self.settle[i];
-                // Evaluate the gate at each candidate time; emit output
-                // toggles (delayed) whenever the value changes.
-                let mut emitted = false;
-                for &t in &cand[..m] {
-                    let mut vals = [false; 3];
-                    for (j, s) in ins.iter().enumerate() {
-                        let si = s.index();
-                        vals[j] = fanin_waves[si].value_at(self.settle[si], t);
-                    }
-                    let v = kind.eval(&vals[..ins.len()]);
-                    if v != last_val {
-                        out_wave.push_toggle(t + delay);
-                        internal_toggles += 1;
-                        emitted = true;
-                        last_val = v;
-                    }
-                }
-                if emitted {
-                    self.active.push(i as u32);
-                    for &g in nl.fanout_of_index(i) {
-                        self.dirty[g as usize / 64] |= 1u64 << (g % 64);
-                    }
-                }
+                internal_toggles += self.eval_gate(nl, sig, word * 64 + bit, &mut cand);
             }
+            self.dirty[word] = 0;
         }
         internal_toggles
+    }
+
+    #[inline]
+    fn mark_fanout(&mut self, nl: &Netlist, i: usize) {
+        for &g in nl.fanout_of_index(i) {
+            self.dirty[g as usize / 64] |= 1u64 << (g % 64);
+        }
+    }
+
+    /// Evaluate gate `i` at every candidate time its fanin toggles
+    /// define, record its output toggles and mark its fanout dirty.
+    /// Every fanin waveform must be final. Returns the toggles emitted.
+    #[inline]
+    fn eval_gate(
+        &mut self,
+        nl: &Netlist,
+        sig: &ChipSignature,
+        i: usize,
+        cand: &mut [f64; MAX_CANDIDATES],
+    ) -> usize {
+        let gate = &nl.gates()[i];
+        let kind = gate.kind();
+        debug_assert!(!kind.is_pseudo(), "pseudo-cells have no fanins");
+        let ins = gate.inputs();
+
+        // Inputs precede gate i topologically, so splitting at i
+        // separates the read-only fanin waves from this gate's output
+        // wave.
+        let (fanin_waves, rest) = self.waves.split_at_mut(i);
+        let out_wave = &mut rest[0];
+
+        // Gather candidate evaluation times from input toggles.
+        let mut n = 0usize;
+        for s in ins {
+            for &t in fanin_waves[s.index()].toggles() {
+                cand[n] = t;
+                n += 1;
+            }
+        }
+        if n == 0 {
+            return 0;
+        }
+        let cand = &mut cand[..n];
+        cand.sort_by(f64::total_cmp);
+        // Epsilon-dedup against the last retained candidate — the exact
+        // semantics of `Vec::dedup_by`.
+        let mut m = 1usize;
+        for k in 1..n {
+            if (cand[k] - cand[m - 1]).abs() < 1e-9 {
+                continue;
+            }
+            cand[m] = cand[k];
+            m += 1;
+        }
+
+        let delay = sig.delay_ps(i);
+        let mut last_val = self.settle[i];
+        // Evaluate the gate at each candidate time; emit output toggles
+        // (delayed) whenever the value changes.
+        let mut emitted = 0usize;
+        for &t in &cand[..m] {
+            let mut vals = [false; 3];
+            for (j, s) in ins.iter().enumerate() {
+                let si = s.index();
+                vals[j] = fanin_waves[si].value_at(self.settle[si], t);
+            }
+            let v = kind.eval(&vals[..ins.len()]);
+            if v != last_val {
+                out_wave.push_toggle(t + delay);
+                emitted += 1;
+                last_val = v;
+            }
+        }
+        if emitted > 0 {
+            self.active.push(i as u32);
+            self.mark_fanout(nl, i);
+        }
+        emitted
     }
 
     fn min_max(&self, nl: &Netlist) -> MinMaxDelays {
@@ -331,8 +437,11 @@ impl SimWorkspace {
     }
 
     /// Simulate one cycle and return only the min/max output arrivals —
-    /// the Phase-A oracle's entry point. Performs no heap allocation in
-    /// steady state.
+    /// the Phase-A oracle's entry point. Skips every gate whose output
+    /// paths all cross an AND held by a stable-0 `op` decode line (see
+    /// [Observability pruning](self#observability-pruning)); the result
+    /// is bit-identical to [`simulate_pair_into`](Self::simulate_pair_into)'s
+    /// min/max. Performs no heap allocation in steady state.
     ///
     /// # Panics
     ///
@@ -344,7 +453,7 @@ impl SimWorkspace {
         initializing: &[bool],
         sensitizing: &[bool],
     ) -> MinMaxDelays {
-        self.propagate(nl, sig, initializing, sensitizing);
+        self.propagate(nl, sig, initializing, sensitizing, true);
         self.min_max(nl)
     }
 
@@ -364,7 +473,7 @@ impl SimWorkspace {
         sensitizing: &[bool],
         out: &mut CycleTiming,
     ) {
-        let internal_toggles = self.propagate(nl, sig, initializing, sensitizing);
+        let internal_toggles = self.propagate(nl, sig, initializing, sensitizing, false);
 
         let outs = nl.outputs();
         out.outputs.resize_with(outs.len(), OutputActivity::default);
@@ -460,8 +569,13 @@ impl<'a> DynamicSim<'a> {
             .simulate_pair_into(self.nl, self.sig, initializing, sensitizing, out);
     }
 
-    /// Simulate one cycle and return only the min/max output arrivals —
-    /// skips building the per-output activity entirely. Allocation-free in
+    /// Simulate one cycle and return only the min/max output arrivals,
+    /// bit-identical to [`simulate_pair`](Self::simulate_pair)'s. It
+    /// builds no per-output activity and skips gates the cycle's stable
+    /// `op` decode leaves unobservable, so the internal waveforms are
+    /// *not* those of a full call: use
+    /// [`simulate_pair_into`](Self::simulate_pair_into) before
+    /// [`sensitized_gates`](Self::sensitized_gates). Allocation-free in
     /// steady state.
     ///
     /// # Panics
@@ -477,9 +591,17 @@ impl<'a> DynamicSim<'a> {
     }
 
     /// Indices of gates that toggled during the most recent
-    /// [`simulate_pair`](Self::simulate_pair) call — i.e. the *sensitized*
-    /// gates of that cycle. Pseudo-cells (inputs) are excluded.
+    /// [`simulate_pair`](Self::simulate_pair) or
+    /// [`simulate_pair_into`](Self::simulate_pair_into) call — i.e. the
+    /// *sensitized* gates of that cycle. Pseudo-cells (inputs) are
+    /// excluded. Meaningless after
+    /// [`simulate_pair_minmax`](Self::simulate_pair_minmax), which skips
+    /// unobservable gates (checked in debug builds).
     pub fn sensitized_gates(&self) -> Vec<usize> {
+        debug_assert!(
+            !self.ws.pruned,
+            "sensitized_gates needs a full-activity call, not simulate_pair_minmax"
+        );
         self.nl
             .gates()
             .iter()
@@ -503,7 +625,7 @@ impl<'a> DynamicSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntc_netlist::generators::alu::{Alu, AluFunc};
+    use ntc_netlist::generators::alu::{Alu, AluFunc, ALL_ALU_FUNCS};
     use ntc_netlist::Builder;
     use ntc_varmodel::{Corner, VariationParams};
 
@@ -673,6 +795,75 @@ mod tests {
             assert_eq!(lean.min_ps.map(f64::to_bits), full.min_delay_ps.map(f64::to_bits));
             assert_eq!(lean.max_ps.map(f64::to_bits), full.max_delay_ps.map(f64::to_bits));
         }
+    }
+
+    /// Slots of the most recent call's stable-0 set.
+    fn stable_slots(ws: &SimWorkspace) -> u32 {
+        ws.stable0.iter().map(|w| w.count_ones()).sum()
+    }
+
+    #[test]
+    fn same_op_pairs_cut_every_unselected_unit() {
+        let alu = Alu::new(16);
+        let sig = ChipSignature::fabricate(alu.netlist(), Corner::NTC, VariationParams::ntc(), 6);
+        let mut ws = SimWorkspace::new();
+        let init = alu.encode(AluFunc::Mult, 0x1234, 0x00FF);
+        let sens = alu.encode(AluFunc::Mult, 0xBEEF, 0x1357);
+        ws.simulate_pair_minmax(alu.netlist(), &sig, &init, &sens);
+        assert!(ws.pruned);
+        assert_eq!(stable_slots(&ws) as usize, ALL_ALU_FUNCS.len() - 1);
+        // The full path never prunes, so it simulates strictly more gates.
+        let pruned_active = ws.active.len();
+        let mut out = CycleTiming::default();
+        ws.simulate_pair_into(alu.netlist(), &sig, &init, &sens, &mut out);
+        assert!(!ws.pruned);
+        assert!(ws.active.len() > pruned_active);
+    }
+
+    #[test]
+    fn glitching_decoder_lines_are_never_stable() {
+        // Op transitions that flip several select bits race the decoder's
+        // AND trees on a fabricated die: unselected lines pulse. Such a
+        // line settles to 0 but toggles, so it must stay out of the set.
+        let alu = Alu::new(8);
+        let nl = alu.netlist();
+        let sig = ChipSignature::fabricate(nl, Corner::NTC, VariationParams::ntc(), 2);
+        let ctl = nl.control_index().expect("op port");
+        let mut ws = SimWorkspace::new();
+        let mut glitched = 0;
+        for &f1 in &ALL_ALU_FUNCS {
+            for &f2 in &ALL_ALU_FUNCS {
+                ws.simulate_pair_minmax(nl, &sig, &alu.encode(f1, 3, 5), &alu.encode(f2, 6, 1));
+                let selected = [f1.select_code() as usize, f2.select_code() as usize];
+                for (k, &c) in ctl.gating_nets().iter().enumerate() {
+                    let toggles = ws.waves[c as usize].len;
+                    let stable = (ws.stable0[k / 64] >> (k % 64)) & 1 == 1;
+                    assert_eq!(
+                        stable,
+                        toggles == 0 && !selected.contains(&k),
+                        "{f1}->{f2} line {k}"
+                    );
+                    if toggles > 0 && !selected.contains(&k) {
+                        glitched += 1;
+                    }
+                }
+            }
+        }
+        assert!(glitched > 0, "some transition glitches an unselected line");
+    }
+
+    #[test]
+    #[should_panic(expected = "full-activity call")]
+    #[cfg(debug_assertions)]
+    fn sensitized_gates_rejects_a_pruned_call() {
+        let alu = Alu::new(8);
+        let sig = ChipSignature::nominal(alu.netlist(), Corner::NTC);
+        let mut sim = DynamicSim::new(alu.netlist(), &sig);
+        let _ = sim.simulate_pair_minmax(
+            &alu.encode(AluFunc::Add, 0, 0),
+            &alu.encode(AluFunc::Add, 0xFF, 1),
+        );
+        let _ = sim.sensitized_gates();
     }
 
     #[test]

@@ -210,8 +210,15 @@ pub fn write_trace_file(path: &Path, trace: &[Instruction]) -> io::Result<()> {
     write_atomic(path, &encode_trace(trace))
 }
 
-/// Atomic byte write shared by the trace and phase writers.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Write `bytes` to `path` atomically: they land under the temp name
+/// `<path>.tmp-<pid>-<seq>` (`seq` a process-wide counter, so concurrent
+/// writers of one path never share a temp file) and are `rename`d into
+/// place. Shared by the trace, phase and grid-cache writers.
+///
+/// # Errors
+///
+/// Propagates I/O failures (the temp file is cleaned up on error).
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }

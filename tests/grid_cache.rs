@@ -70,6 +70,43 @@ fn store_then_load_round_trips_bit_identically() {
 }
 
 #[test]
+fn concurrent_stores_of_one_spec_all_succeed() {
+    // Eight threads of one process store the same spec at once: each
+    // writer needs its own temp file, or one thread's rename can move
+    // another's half-written bytes into place (or vanish from under it).
+    let _guard = lock();
+    let dir = cache_dir("concurrent");
+    let spec = tiny_spec(46);
+    let cold = run_grid_uncached(&spec);
+    let start = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        let writers: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..4 {
+                        cache::store(&dir, &spec, &cold)?;
+                    }
+                    Ok::<(), std::io::Error>(())
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().expect("writer thread").expect("every store succeeds");
+        }
+    });
+    assert_eq!(cache::load(&dir, &spec).as_ref(), Some(&cold), "artifact loads intact");
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.contains(".tmp-"))
+        .collect();
+    assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+    let _ = cache::take_stats();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn corrupt_artifacts_are_quarantined_and_recomputed() {
     let _guard = lock();
     let dir = cache_dir("corrupt");
