@@ -58,6 +58,43 @@ fi
 test "$(wc -l < target/repro-ci-suite.sha256)" = 27
 sha256sum --quiet -c target/repro-ci-suite.sha256
 
+echo "==> repro --jobs 2: per-experiment work counters match the pinned golden"
+# tests/golden/fast_counters.json pins, per experiment, every manifest
+# counter that came out identical in repeated --jobs 2 runs; the
+# shared-cache race counters of the abl.* experiments are left out. A
+# manifest omits zero cell counts from "voltages", so a missing key
+# reads as 0.
+counter_golden=tests/golden/fast_counters.json
+if command -v jq >/dev/null 2>&1; then
+  jq -r --slurpfile m target/repro-ci-suite/manifest.json '
+    ($m[0].records | map({key: .id, value: .}) | from_entries) as $r
+    | to_entries[] | .key as $id
+    | if $r[$id] == null then "\($id): missing from the manifest" else
+        (.value | to_entries[] | .key as $g | .value | to_entries[]
+         | ($r[$id][$g][.key] // 0) as $got
+         | select($got != .value)
+         | "\($id) \($g).\(.key): manifest \($got), golden \(.value)")
+      end' "$counter_golden" > target/repro-ci-counters.diff
+else
+  python3 - "$counter_golden" > target/repro-ci-counters.diff <<'EOF'
+import json, sys
+records = {r["id"]: r for r in json.load(open("target/repro-ci-suite/manifest.json"))["records"]}
+for rid, groups in json.load(open(sys.argv[1])).items():
+    if rid not in records:
+        print(rid + ": missing from the manifest")
+        continue
+    for group, pinned in groups.items():
+        for key, want in pinned.items():
+            got = records[rid][group].get(key, 0)
+            if got != want:
+                print("%s %s.%s: manifest %s, golden %s" % (rid, group, key, got, want))
+EOF
+fi
+if [ -s target/repro-ci-counters.diff ]; then
+  cat target/repro-ci-counters.diff
+  echo "FAIL: work counters drifted from $counter_golden"; exit 1
+fi
+
 echo "==> repro --fast fig3.4"
 ./target/release/repro --fast fig3.4
 

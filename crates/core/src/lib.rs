@@ -68,7 +68,7 @@ pub use scenario::{ChipContext, ParseSchemeError, SchemeSpec, SimAccumulator};
 pub use scheme::{CycleContext, CycleOutcome, ResilienceScheme};
 pub use sim::{profile_errors, run_scheme, ErrorProfile, SimResult};
 pub use tag_delay::{
-    current_oracle_scope, set_oracle_scope, take_oracle_stats, CycleDelays, OracleConfig,
-    OracleScope, OracleStats, SharedDelayCache, ShardedDelayCache, TagDelayOracle,
+    set_oracle_scope, take_oracle_stats, CycleDelays, OracleConfig, OracleScope, OracleStats,
+    ShardedDelayCache, SharedDelayCache, TagDelayOracle,
 };
 pub use trident::{Eid, Trident, EID_BITS};

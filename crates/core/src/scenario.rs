@@ -36,6 +36,14 @@ use ntc_varmodel::OperatingPoint;
 /// which paths a workload will sensitize, so it must cover the worst one).
 pub const HFG_GUARDBAND_MARGIN: f64 = 1.02;
 
+/// Largest capacity a scheme name may carry (`dcs-icslt:N` entries, both
+/// `dcs-acslt:N/W` numbers, `trident:N`, `harden-choke:N`). Schemes size
+/// their tables from these up front — DCS-ACSLT's Bloom filter holds
+/// `4 × entries × ways` counters — so a name arriving over the wire must
+/// not pick the allocation. 4096 is 8× the largest registry capacity
+/// (`trident:512`) and keeps that filter at 64 Mi one-byte counters.
+pub const MAX_SCHEME_CAPACITY: usize = 4096;
+
 /// Everything a [`SchemeSpec`] may parameterize on when instantiating a
 /// scheme for one fabricated chip.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,7 +124,7 @@ impl std::fmt::Display for ParseSchemeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown scheme `{}`; registered: {}",
+            "unknown scheme `{}` (capacities 1..={MAX_SCHEME_CAPACITY}); registered: {}",
             self.input,
             SchemeSpec::roster()
                 .iter()
@@ -211,7 +219,8 @@ impl SchemeSpec {
     /// # Errors
     ///
     /// Returns [`ParseSchemeError`] (naming the registered schemes) for
-    /// anything the registry cannot resolve, including zero capacities.
+    /// anything the registry cannot resolve, including capacities outside
+    /// `1..=`[`MAX_SCHEME_CAPACITY`].
     pub fn parse(input: &str) -> Result<SchemeSpec, ParseSchemeError> {
         let err = || ParseSchemeError {
             input: input.to_owned(),
@@ -251,7 +260,11 @@ impl SchemeSpec {
             },
             _ => return Err(err()),
         };
-        if spec.capacity_params().contains(&0) {
+        if spec
+            .capacity_params()
+            .iter()
+            .any(|&n| n == 0 || n > MAX_SCHEME_CAPACITY)
+        {
             return Err(err());
         }
         Ok(spec)
@@ -671,11 +684,30 @@ mod tests {
             "razor:1",
             "harden-choke:0",
             "dvs:1",
+            "dcs-icslt:4097",
+            "dcs-acslt:32/4097",
+            "trident:18446744073709551615",
+            "harden-choke:1000000",
         ] {
             let e = SchemeSpec::parse(bad).expect_err(bad);
             assert_eq!(e.input, bad);
             assert!(e.to_string().contains("registered: razor"), "{e}");
         }
+    }
+
+    #[test]
+    fn capacities_are_bounded_above_the_registry() {
+        // The registry sweeps trident up to 512 entries.
+        const { assert!(MAX_SCHEME_CAPACITY >= 512) };
+        let max = MAX_SCHEME_CAPACITY;
+        assert_eq!(
+            SchemeSpec::parse(&format!("dcs-acslt:{max}/{max}")),
+            Ok(SchemeSpec::DcsAcslt {
+                entries: max,
+                associativity: max,
+            })
+        );
+        assert!(SchemeSpec::parse(&format!("dcs-icslt:{}", max + 1)).is_err());
     }
 
     #[test]

@@ -23,10 +23,10 @@ use ntc_isa::{ErrorTag, Instruction};
 use ntc_netlist::generators::alu::Alu;
 use ntc_netlist::Netlist;
 use ntc_timing::{ClockSpec, ScreenBounds, ScreenVerdict, SimWorkspace};
+use ntc_varmodel::telemetry::{self, Counter, Counts, Family, Scope};
 use ntc_varmodel::{ChipSignature, Corner};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Key of one entry in a [`SharedDelayCache`]: the tag plus the *full
@@ -112,14 +112,12 @@ impl ShardedDelayCache {
 /// any thread count — only the number of gate-level simulations changes.
 pub type SharedDelayCache = Arc<ShardedDelayCache>;
 
-/// Cumulative oracle efficiency counters since the last
-/// [`take_oracle_stats`] call, aggregated across every oracle in the
-/// process (sweep workers included).
+/// The oracle family of the counter table
+/// ([`ntc_varmodel::telemetry`]): every oracle in the process counts its
+/// queries there, and static timing counts its analyses.
 ///
-/// The struct doubles as the serialization contract for run telemetry:
-/// [`OracleStats::fields`] enumerates the counters as stable
-/// `(name, value)` pairs, so an encoder (the `repro` manifest writer)
-/// never hard-codes field names that could drift from the struct.
+/// [`OracleStats::fields`] lists the counters as stable
+/// `(name, value)` pairs, the names being the manifest keys.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Phase-A gate-level simulations (cache misses all the way through).
@@ -144,137 +142,74 @@ pub struct OracleStats {
 }
 
 impl OracleStats {
+    /// Read the family's counters through `get`.
+    fn read(get: impl Fn(Counter) -> u64) -> OracleStats {
+        OracleStats {
+            gate_sims: get(Counter::GateSims),
+            local_hits: get(Counter::LocalHits),
+            shared_hits: get(Counter::SharedHits),
+            screen_hits: get(Counter::ScreenHits),
+            screen_misses: get(Counter::ScreenMisses),
+            screen_fallbacks: get(Counter::ScreenFallbacks),
+            sta_full: get(Counter::StaFull),
+        }
+    }
+
     /// Total delay queries answered.
     pub fn queries(&self) -> u64 {
         self.gate_sims + self.local_hits + self.shared_hits + self.screen_hits
     }
 
-    /// The counters as stable `(field name, value)` pairs, in declaration
-    /// order — the single source of truth for serializers.
+    /// The counters as `(manifest key, value)` pairs, in table order.
     pub fn fields(&self) -> [(&'static str, u64); 9] {
         [
-            ("gate_sims", self.gate_sims),
-            ("local_hits", self.local_hits),
-            ("shared_hits", self.shared_hits),
-            ("screen_hits", self.screen_hits),
-            ("screen_misses", self.screen_misses),
-            ("screen_fallbacks", self.screen_fallbacks),
-            ("sta_full", self.sta_full),
+            (Counter::GateSims, self.gate_sims),
+            (Counter::LocalHits, self.local_hits),
+            (Counter::SharedHits, self.shared_hits),
+            (Counter::ScreenHits, self.screen_hits),
+            (Counter::ScreenMisses, self.screen_misses),
+            (Counter::ScreenFallbacks, self.screen_fallbacks),
+            (Counter::StaFull, self.sta_full),
             // Retired incremental-STA counters, kept at 0 so the manifest
             // and receipt key sets (read by perfbench) stay unchanged.
-            ("sta_incremental", 0),
-            ("incr_gates_touched", 0),
+            (Counter::StaIncremental, 0),
+            (Counter::IncrGatesTouched, 0),
         ]
+        .map(|(c, v)| (c.name(), v))
     }
 }
 
-impl std::ops::AddAssign for OracleStats {
-    /// Counter-wise accumulation, e.g. folding per-experiment drains into
-    /// a suite total.
-    fn add_assign(&mut self, rhs: OracleStats) {
-        self.gate_sims += rhs.gate_sims;
-        self.local_hits += rhs.local_hits;
-        self.shared_hits += rhs.shared_hits;
-        self.screen_hits += rhs.screen_hits;
-        self.screen_misses += rhs.screen_misses;
-        self.screen_fallbacks += rhs.screen_fallbacks;
-        self.sta_full += rhs.sta_full;
+impl From<&Counts> for OracleStats {
+    fn from(counts: &Counts) -> OracleStats {
+        OracleStats::read(|c| counts[c])
     }
 }
 
-static STAT_GATE_SIMS: AtomicU64 = AtomicU64::new(0);
-static STAT_LOCAL_HITS: AtomicU64 = AtomicU64::new(0);
-static STAT_SHARED_HITS: AtomicU64 = AtomicU64::new(0);
-static STAT_SCREEN_HITS: AtomicU64 = AtomicU64::new(0);
-static STAT_SCREEN_MISSES: AtomicU64 = AtomicU64::new(0);
-static STAT_SCREEN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-/// A per-run attribution scope for the oracle counters. While installed
-/// on a thread (see [`set_oracle_scope`]), every increment additionally
-/// lands in the scope, so a server interleaving jobs can attribute the
-/// timing work each job caused without disturbing the process-wide
-/// drain ([`take_oracle_stats`]) other callers rely on. The scope
-/// carries its own [`ntc_timing::StaScope`] so one install covers the
-/// whole timing stack, mirroring how the global drain folds
-/// `take_sta_counters` in.
+/// A view of one counter [`Scope`] that reads only the oracle family.
+/// While installed on a thread (see [`set_oracle_scope`]), every counter
+/// increment on that thread also lands in the scope.
 #[derive(Debug, Default)]
-pub struct OracleScope {
-    gate_sims: AtomicU64,
-    local_hits: AtomicU64,
-    shared_hits: AtomicU64,
-    screen_hits: AtomicU64,
-    screen_misses: AtomicU64,
-    screen_fallbacks: AtomicU64,
-    sta: std::sync::Arc<ntc_timing::StaScope>,
-}
+pub struct OracleScope(Arc<Scope>);
 
 impl OracleScope {
-    /// The counters accumulated in this scope so far (non-draining),
-    /// with the STA counters of the embedded timing scope folded in.
+    /// The oracle counters accumulated in this scope so far
+    /// (non-draining).
     pub fn snapshot(&self) -> OracleStats {
-        let sta = self.sta.snapshot();
-        OracleStats {
-            gate_sims: self.gate_sims.load(Ordering::Relaxed),
-            local_hits: self.local_hits.load(Ordering::Relaxed),
-            shared_hits: self.shared_hits.load(Ordering::Relaxed),
-            screen_hits: self.screen_hits.load(Ordering::Relaxed),
-            screen_misses: self.screen_misses.load(Ordering::Relaxed),
-            screen_fallbacks: self.screen_fallbacks.load(Ordering::Relaxed),
-            sta_full: sta.sta_full,
-        }
+        OracleStats::read(|c| self.0.get(c))
     }
 }
 
-thread_local! {
-    static ORACLE_SCOPE: std::cell::RefCell<Option<std::sync::Arc<OracleScope>>> =
-        const { std::cell::RefCell::new(None) };
+/// Install (or, with `None`, clear) the calling thread's counter scope
+/// as an [`OracleScope`], returning a view of the previous one so
+/// callers can restore it.
+pub fn set_oracle_scope(scope: Option<Arc<OracleScope>>) -> Option<Arc<OracleScope>> {
+    telemetry::install(scope.map(|s| s.0.clone())).map(|prev| Arc::new(OracleScope(prev)))
 }
 
-/// Install (or, with `None`, clear) the calling thread's oracle
-/// attribution scope, returning the previous one so callers can restore
-/// it. Also installs/clears the embedded [`ntc_timing::StaScope`] on the
-/// same thread. Share one `Arc` across a run's worker threads to
-/// aggregate their work.
-pub fn set_oracle_scope(
-    scope: Option<std::sync::Arc<OracleScope>>,
-) -> Option<std::sync::Arc<OracleScope>> {
-    ntc_timing::set_sta_scope(scope.as_ref().map(|s| s.sta.clone()));
-    ORACLE_SCOPE.with(|s| s.replace(scope))
-}
-
-/// The calling thread's installed oracle scope, if any — what the sweep
-/// runner captures before spawning workers so workers inherit it.
-pub fn current_oracle_scope() -> Option<std::sync::Arc<OracleScope>> {
-    ORACLE_SCOPE.with(|s| s.borrow().clone())
-}
-
-/// Bump a global oracle counter, mirroring the increment into the
-/// thread's installed scope when one is present.
-fn bump(global: &AtomicU64, pick: fn(&OracleScope) -> &AtomicU64) {
-    global.fetch_add(1, Ordering::Relaxed);
-    ORACLE_SCOPE.with(|s| {
-        if let Some(scope) = s.borrow().as_ref() {
-            pick(scope).fetch_add(1, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Drain the process-wide [`OracleStats`] counters, resetting them to
-/// zero — call once per run/experiment to report cache effectiveness.
-/// Mirrors the runner's sweep-stats drain. The static-timing cost
-/// counters live in `ntc-timing` (`take_sta_counters`) and are folded in
-/// here, so one drain covers the whole timing stack.
+/// Drain the process-wide oracle counters (static timing included),
+/// resetting them to zero.
 pub fn take_oracle_stats() -> OracleStats {
-    let sta = ntc_timing::take_sta_counters();
-    OracleStats {
-        gate_sims: STAT_GATE_SIMS.swap(0, Ordering::Relaxed),
-        local_hits: STAT_LOCAL_HITS.swap(0, Ordering::Relaxed),
-        shared_hits: STAT_SHARED_HITS.swap(0, Ordering::Relaxed),
-        screen_hits: STAT_SCREEN_HITS.swap(0, Ordering::Relaxed),
-        screen_misses: STAT_SCREEN_MISSES.swap(0, Ordering::Relaxed),
-        screen_fallbacks: STAT_SCREEN_FALLBACKS.swap(0, Ordering::Relaxed),
-        sta_full: sta.sta_full,
-    }
+    OracleStats::from(&telemetry::take(Family::Oracle))
 }
 
 /// Min/max sensitized delay of one simulated cycle, picoseconds.
@@ -552,7 +487,7 @@ impl TagDelayOracle {
         let bucket = operand_bucket(prev, cur, self.config.buckets_per_tag);
         let key = (tag, bucket);
         if let Some(d) = self.cache.get(&key) {
-            bump(&STAT_LOCAL_HITS, |s| &s.local_hits);
+            telemetry::add(Counter::LocalHits, 1);
             return *d;
         }
         if let Some(state) = &mut self.screen {
@@ -561,7 +496,7 @@ impl TagDelayOracle {
                 if let Some(e) = state.screened.get(&key) {
                     if ScreenState::replayable(e, &clock) {
                         self.screen_hits += 1;
-                        bump(&STAT_SCREEN_HITS, |s| &s.screen_hits);
+                        telemetry::add(Counter::ScreenHits, 1);
                         return e.delays;
                     }
                 }
@@ -572,7 +507,7 @@ impl TagDelayOracle {
                 // unscreened oracle would hold by simulating the bucket's
                 // original first pair — not the current one.
                 self.screen_fallbacks += 1;
-                bump(&STAT_SCREEN_FALLBACKS, |s| &s.screen_fallbacks);
+                telemetry::add(Counter::ScreenFallbacks, 1);
                 let d = self.simulate_uncached(tag, &entry.prev, &entry.cur);
                 self.cache.insert(key, d);
                 return d;
@@ -584,7 +519,7 @@ impl TagDelayOracle {
         let full: SharedDelayKey = (tag, prev.a, prev.b, cur.a, cur.b);
         if let Some(shared) = &self.shared {
             if let Some(d) = shared.get(&full) {
-                bump(&STAT_SHARED_HITS, |s| &s.shared_hits);
+                telemetry::add(Counter::SharedHits, 1);
                 self.cache.insert(key, d);
                 return d;
             }
@@ -596,7 +531,7 @@ impl TagDelayOracle {
                 match state.bounds.screen(&self.pi_init, &self.pi_sens, &clock) {
                     ScreenVerdict::Quiet => {
                         self.screen_hits += 1;
-                        bump(&STAT_SCREEN_HITS, |s| &s.screen_hits);
+                        telemetry::add(Counter::ScreenHits, 1);
                         let d = CycleDelays {
                             min_ps: None,
                             max_ps: None,
@@ -613,7 +548,7 @@ impl TagDelayOracle {
                     }
                     ScreenVerdict::Safe { min_ps, max_ps } => {
                         self.screen_hits += 1;
-                        bump(&STAT_SCREEN_HITS, |s| &s.screen_hits);
+                        telemetry::add(Counter::ScreenHits, 1);
                         let d = CycleDelays {
                             min_ps: Some(min_ps),
                             max_ps: Some(max_ps),
@@ -630,12 +565,12 @@ impl TagDelayOracle {
                     }
                     ScreenVerdict::Inconclusive => {
                         self.screen_misses += 1;
-                        bump(&STAT_SCREEN_MISSES, |s| &s.screen_misses);
+                        telemetry::add(Counter::ScreenMisses, 1);
                     }
                 }
             } else {
                 self.screen_fallbacks += 1;
-                bump(&STAT_SCREEN_FALLBACKS, |s| &s.screen_fallbacks);
+                telemetry::add(Counter::ScreenFallbacks, 1);
             }
         }
         let d = self.simulate_uncached(tag, prev, cur);
@@ -651,7 +586,7 @@ impl TagDelayOracle {
         let full: SharedDelayKey = (tag, prev.a, prev.b, cur.a, cur.b);
         if let Some(shared) = &self.shared {
             if let Some(d) = shared.get(&full) {
-                bump(&STAT_SHARED_HITS, |s| &s.shared_hits);
+                telemetry::add(Counter::SharedHits, 1);
                 return d;
             }
         }
@@ -666,7 +601,7 @@ impl TagDelayOracle {
             &self.pi_sens,
         );
         self.gate_sims += 1;
-        bump(&STAT_GATE_SIMS, |s| &s.gate_sims);
+        telemetry::add(Counter::GateSims, 1);
         let d = CycleDelays {
             min_ps: t.min_ps,
             max_ps: t.max_ps,
@@ -837,26 +772,21 @@ mod tests {
     }
 
     #[test]
-    fn oracle_stats_fields_and_accumulation() {
-        let mut total = OracleStats::default();
-        total += OracleStats {
-            gate_sims: 2,
-            local_hits: 5,
-            shared_hits: 1,
-            screen_hits: 7,
-            screen_misses: 2,
-            screen_fallbacks: 1,
-            sta_full: 3,
-        };
-        total += OracleStats {
-            gate_sims: 1,
-            local_hits: 0,
-            shared_hits: 4,
-            screen_hits: 3,
-            screen_misses: 0,
-            screen_fallbacks: 2,
-            sta_full: 1,
-        };
+    fn oracle_stats_read_the_oracle_family_of_the_table() {
+        let mut counts = Counts::default();
+        for (c, n) in [
+            (Counter::GateSims, 3),
+            (Counter::LocalHits, 5),
+            (Counter::SharedHits, 5),
+            (Counter::ScreenHits, 10),
+            (Counter::ScreenMisses, 2),
+            (Counter::ScreenFallbacks, 3),
+            (Counter::StaFull, 4),
+            (Counter::DiskHits, 9),
+        ] {
+            counts[c] = n;
+        }
+        let total = OracleStats::from(&counts);
         // Queries = answered lookups: sims + local + shared + screened.
         // Misses/fallbacks annotate *how* sims happened, not extra
         // queries; the STA counters meter the timing stack, not lookups.

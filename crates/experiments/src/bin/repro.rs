@@ -76,9 +76,9 @@
 //!   experiment (a misspelled ID must never silently shrink the suite).
 
 use ntc_core::scenario::SchemeSpec;
-use ntc_core::tag_delay::take_oracle_stats;
 use ntc_experiments::report::{table_to_json, Manifest, RunRecord};
 use ntc_experiments::{all_experiments, cache, runner, Scale};
+use ntc_varmodel::telemetry::{with_counter_scope, Counter as C, Family};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -372,40 +372,29 @@ fn run() -> i32 {
             records.push(prev);
             continue;
         }
-        // Drain any leftover counters so this experiment's record only
-        // accounts for its own work.
-        let _ = runner::take_stats();
-        let _ = take_oracle_stats();
-        let _ = cache::take_stats();
-        let _ = ntc_experiments::take_voltage_cells();
-        let _ = ntc_workload::take_stats();
         let _ = runner::take_sweep_failures();
         let start = Instant::now();
         // Experiment-level fault isolation: a panicking experiment (e.g. a
         // chip failing inside a strict `sweep`) becomes a failed record and
-        // a nonzero exit, not a dead suite.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if injected_failure.as_deref() == Some(*id) {
-                panic!("injected failure via NTC_REPRO_FAIL");
-            }
-            run_experiment(scale)
-        }));
+        // a nonzero exit, not a dead suite. The counter scope bills the
+        // record for exactly this experiment's work.
+        let (outcome, counters) = with_counter_scope(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                if injected_failure.as_deref() == Some(*id) {
+                    panic!("injected failure via NTC_REPRO_FAIL");
+                }
+                run_experiment(scale)
+            }))
+        });
         let mut record = RunRecord {
             id: (*id).to_owned(),
             title: String::new(),
             scale: scale_label.to_owned(),
             jobs,
             wall_s: start.elapsed().as_secs_f64(),
-            sweep: runner::take_stats(),
-            oracle: take_oracle_stats(),
-            cache: cache::take_stats(),
-            voltages: ntc_experiments::take_voltage_cells()
-                .into_iter()
-                .map(|(point, cells)| (point.name().to_owned(), cells))
-                .collect(),
+            counters,
             requested_vdd: requested_vdd.clone(),
             source: source_label.clone(),
-            workload: ntc_workload::take_stats(),
             sweep_failures: runner::take_sweep_failures(),
             rows: 0,
             csv: None,
@@ -468,76 +457,87 @@ fn describe(r: &RunRecord) -> String {
         if r.resumed { " (resumed)" } else { "" },
         r.wall_s
     );
-    if let Some(speedup) = r.sweep.speedup() {
+    let c = &r.counters;
+    if c[C::SweepWallNs] > 0 {
+        let (busy, wall) = (
+            c[C::SweepBusyNs] as f64 / 1e9,
+            c[C::SweepWallNs] as f64 / 1e9,
+        );
         line.push_str(&format!(
-            ", sweep busy {:.3}s / wall {:.3}s ({speedup:.2}x)",
-            r.sweep.busy.as_secs_f64(),
-            r.sweep.wall.as_secs_f64()
+            ", sweep busy {busy:.3}s / wall {wall:.3}s ({:.2}x)",
+            busy / wall
         ));
     }
     // Oracle cache effectiveness: Phase-A gate-level simulations vs
     // per-oracle and shared-cache hits. A regression here (more sims,
     // fewer hits) shows up even when results stay bit-identical.
-    if r.oracle.queries() > 0 {
+    if c[C::GateSims] + c[C::LocalHits] + c[C::SharedHits] + c[C::ScreenHits] > 0 {
         line.push_str(&format!(
             ", oracle {} sims / {} local hits / {} shared hits",
-            r.oracle.gate_sims, r.oracle.local_hits, r.oracle.shared_hits
+            c[C::GateSims],
+            c[C::LocalHits],
+            c[C::SharedHits]
         ));
         // Screen tier (two-tier oracle): cycles answered by the
         // conservative bound vs inconclusive screens that fell through to
         // the exact kernel vs queries that bypassed the screen outright.
-        if r.oracle.screen_hits + r.oracle.screen_misses + r.oracle.screen_fallbacks > 0 {
+        if c[C::ScreenHits] + c[C::ScreenMisses] + c[C::ScreenFallbacks] > 0 {
             line.push_str(&format!(
                 ", screen {} hits / {} misses / {} fallbacks",
-                r.oracle.screen_hits, r.oracle.screen_misses, r.oracle.screen_fallbacks
+                c[C::ScreenHits],
+                c[C::ScreenMisses],
+                c[C::ScreenFallbacks]
             ));
         }
     }
     // Static-timing cost: one full analysis per fabricated chip plus
     // the nominal anchors its clocks hang off.
-    if r.oracle.sta_full > 0 {
-        line.push_str(&format!(", sta {} full", r.oracle.sta_full));
+    if c[C::StaFull] > 0 {
+        line.push_str(&format!(", sta {} full", c[C::StaFull]));
     }
     // Grid disk-cache traffic: a warm rerun shows hits where the cold run
     // showed misses + bytes written; corrupt evictions flag artifacts
     // that had to be quarantined and recomputed.
-    if r.cache.lookups() > 0 {
+    if c[C::DiskHits] + c[C::DiskMisses] > 0 {
         line.push_str(&format!(
             ", grid cache {} disk hit(s) / {} miss(es)",
-            r.cache.disk_hits, r.cache.disk_misses
+            c[C::DiskHits],
+            c[C::DiskMisses]
         ));
-        if r.cache.corrupt_evictions > 0 {
+        if c[C::CorruptEvictions] > 0 {
             line.push_str(&format!(
                 " ({} corrupt artifact(s) evicted)",
-                r.cache.corrupt_evictions
+                c[C::CorruptEvictions]
             ));
         }
-        if r.cache.bytes_written > 0 {
-            line.push_str(&format!(", {} B written", r.cache.bytes_written));
+        if c[C::BytesWritten] > 0 {
+            line.push_str(&format!(", {} B written", c[C::BytesWritten]));
         }
     }
     // Voltage-axis traffic: which operating points this experiment's
     // grids actually computed cells at (memo/disk hits excluded). Only
     // worth a line once the axis is wider than the NTC default.
-    if r.voltages.len() > 1 {
-        let per_point: Vec<String> = r
-            .voltages
-            .iter()
-            .map(|(name, cells)| format!("{name}={cells}"))
-            .collect();
+    let per_point: Vec<String> = c
+        .family(Family::Cells)
+        .filter(|&(_, cells)| cells > 0)
+        .map(|(name, cells)| format!("{name}={cells}"))
+        .collect();
+    if per_point.len() > 1 {
         line.push_str(&format!(", cells per vdd {}", per_point.join(" ")));
     }
     // Trace record/replay traffic: only present when a --trace-dir mode
     // was active (the generator path leaves all five counters zero).
-    if r.workload.any() {
+    if c.family(Family::Workload).any(|(_, n)| n > 0) {
         line.push_str(&format!(
             ", trace {} recorded / {} replayed / {} phase-replayed",
-            r.workload.traces_recorded, r.workload.trace_replays, r.workload.phase_replays
+            c[C::TracesRecorded],
+            c[C::TraceReplays],
+            c[C::PhaseReplays]
         ));
-        if r.workload.phase_instructions > 0 {
+        if c[C::PhaseInstructions] > 0 {
             line.push_str(&format!(
                 " ({} phase instr simulated)",
-                r.workload.phase_instructions
+                c[C::PhaseInstructions]
             ));
         }
     }

@@ -16,14 +16,12 @@
 //! re-read its own manifest (`tests/figure_shapes.rs` golden-shape check,
 //! `ci.sh` smoke step) without trusting external tooling to be present.
 
-use crate::cache::CacheStats;
-use crate::runner::{IndexFailure, SweepStats};
+use crate::runner::IndexFailure;
 use crate::table::ResultTable;
-use ntc_core::tag_delay::OracleStats;
+use ntc_varmodel::telemetry::{Counter, Counts, Family};
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Manifest format identifier; bump on breaking shape changes.
 /// (`/2` added the per-record `cache` counters and `resumed` marker;
@@ -48,19 +46,13 @@ pub struct RunRecord {
     pub jobs: usize,
     /// End-to-end wall time of this experiment, seconds.
     pub wall_s: f64,
-    /// Sweep-engine busy/wall counters drained after this experiment.
-    pub sweep: SweepStats,
-    /// Delay-oracle cache counters drained after this experiment.
-    pub oracle: OracleStats,
-    /// Grid disk-cache counters drained after this experiment.
-    pub cache: CacheStats,
-    /// Grid cells *computed* per operating point during this experiment
-    /// (`(point name, count)`, roster order, zero counts omitted) —
-    /// memo and disk hits do not count, mirroring the oracle/cache
-    /// counter semantics. Empty for non-grid experiments.
-    pub voltages: Vec<(String, u64)>,
+    /// Everything the experiment counted, from its counter scope: sweep
+    /// time, oracle and STA work, grid-cache traffic, computed cells per
+    /// operating point (zero points omitted from the JSON) and trace
+    /// record/replay traffic.
+    pub counters: Counts,
     /// Operating-point names the run was *asked* to sweep, roster
-    /// order. Unlike [`RunRecord::voltages`] this is the request, not
+    /// order. Unlike the `voltages` cell counters this is the request, not
     /// the computed counts — `--resume` compares it against the current
     /// roster and recomputes on mismatch rather than carrying forward
     /// results for the wrong voltage set.
@@ -69,8 +61,6 @@ pub struct RunRecord {
     /// `"replay:<dir>"`, `"phases:<dir>"`, …) — `--resume` recomputes
     /// when it differs, same as the voltage roster.
     pub source: String,
-    /// Trace record/replay counters drained after this experiment.
-    pub workload: ntc_workload::WorkloadStats,
     /// Per-index panics caught by `runner::sweep_catching` during this
     /// experiment (empty for strict sweeps, which fail the whole record).
     pub sweep_failures: Vec<IndexFailure>,
@@ -106,37 +96,17 @@ impl RunRecord {
         s.push(',');
         let _ = write!(s, "\"wall_s\":{}", json_f64(self.wall_s));
         s.push(',');
-        let _ = write!(s, "\"sweep_busy_ns\":{}", self.sweep.busy.as_nanos());
-        s.push(',');
-        let _ = write!(s, "\"sweep_wall_ns\":{}", self.sweep.wall.as_nanos());
-        s.push(',');
-        s.push_str("\"oracle\":{");
-        for (i, (name, value)) in self.oracle.fields().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{value}");
+        for (name, value) in self.counters.family(Family::Sweep) {
+            let _ = write!(s, "\"{name}\":{value},");
         }
-        s.push('}');
-        s.push(',');
-        s.push_str("\"cache\":{");
-        for (i, (name, value)) in self.cache.fields().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{value}");
+        for (key, family) in [
+            ("oracle", Family::Oracle),
+            ("cache", Family::Cache),
+            ("voltages", Family::Cells),
+        ] {
+            push_counts(&mut s, key, &self.counters, family);
+            s.push(',');
         }
-        s.push('}');
-        s.push(',');
-        s.push_str("\"voltages\":{");
-        for (i, (name, count)) in self.voltages.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{count}");
-        }
-        s.push('}');
-        s.push(',');
         s.push_str("\"requested_vdd\":[");
         for (i, name) in self.requested_vdd.iter().enumerate() {
             if i > 0 {
@@ -148,14 +118,7 @@ impl RunRecord {
         s.push(',');
         push_key_str(&mut s, "source", &self.source);
         s.push(',');
-        s.push_str("\"workload\":{");
-        for (i, (name, value)) in self.workload.fields().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{value}");
-        }
-        s.push('}');
+        push_counts(&mut s, "workload", &self.counters, Family::Workload);
         s.push(',');
         s.push_str("\"sweep_failures\":[");
         for (i, f) in self.sweep_failures.iter().enumerate() {
@@ -212,36 +175,33 @@ impl RunRecord {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("record member {key:?} missing or not an exact integer"))
         }
-        let oracle_obj = v
-            .get("oracle")
-            .ok_or_else(|| "record member \"oracle\" missing".to_owned())?;
-        let oracle = OracleStats {
-            gate_sims: u64_of(oracle_obj, "gate_sims")?,
-            local_hits: u64_of(oracle_obj, "local_hits")?,
-            shared_hits: u64_of(oracle_obj, "shared_hits")?,
-            screen_hits: u64_of(oracle_obj, "screen_hits")?,
-            screen_misses: u64_of(oracle_obj, "screen_misses")?,
-            screen_fallbacks: u64_of(oracle_obj, "screen_fallbacks")?,
-            sta_full: u64_of(oracle_obj, "sta_full")?,
-        };
-        let cache_obj = v
-            .get("cache")
-            .ok_or_else(|| "record member \"cache\" missing".to_owned())?;
-        let cache = CacheStats {
-            disk_hits: u64_of(cache_obj, "disk_hits")?,
-            disk_misses: u64_of(cache_obj, "disk_misses")?,
-            corrupt_evictions: u64_of(cache_obj, "corrupt_evictions")?,
-            bytes_written: u64_of(cache_obj, "bytes_written")?,
-        };
-        let voltages = match v.get("voltages") {
-            Some(obj @ Json::Obj(members)) => members
-                .iter()
-                .map(|(name, _)| {
-                    Ok::<(String, u64), String>((name.clone(), u64_of(obj, name)?))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+        let mut counters = Counts::default();
+        for &c in Family::Sweep.rows() {
+            counters[c] = u64_of(v, c.name())?;
+        }
+        for (key, family) in [
+            ("oracle", Family::Oracle),
+            ("cache", Family::Cache),
+            ("workload", Family::Workload),
+        ] {
+            let obj = v
+                .get(key)
+                .ok_or_else(|| format!("record member {key:?} missing"))?;
+            for &c in family.rows() {
+                counters[c] = u64_of(obj, c.name())?;
+            }
+        }
+        match v.get("voltages") {
+            Some(obj @ Json::Obj(members)) => {
+                for (name, _) in members {
+                    let c = Counter::lookup(Family::Cells, name).ok_or_else(|| {
+                        format!("unknown operating point {name:?} in \"voltages\"")
+                    })?;
+                    counters[c] = u64_of(obj, name)?;
+                }
+            }
             _ => return Err("record member \"voltages\" missing or not an object".to_owned()),
-        };
+        }
         let requested_vdd = v
             .get("requested_vdd")
             .and_then(Json::as_arr)
@@ -253,16 +213,6 @@ impl RunRecord {
                     .ok_or_else(|| "requested_vdd entry not a string".to_owned())
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let workload_obj = v
-            .get("workload")
-            .ok_or_else(|| "record member \"workload\" missing".to_owned())?;
-        let workload = ntc_workload::WorkloadStats {
-            traces_recorded: u64_of(workload_obj, "traces_recorded")?,
-            trace_replays: u64_of(workload_obj, "trace_replays")?,
-            phase_replays: u64_of(workload_obj, "phase_replays")?,
-            replayed_instructions: u64_of(workload_obj, "replayed_instructions")?,
-            phase_instructions: u64_of(workload_obj, "phase_instructions")?,
-        };
         let mut sweep_failures = Vec::new();
         for f in v
             .get("sweep_failures")
@@ -299,16 +249,9 @@ impl RunRecord {
                 .get("wall_s")
                 .and_then(Json::as_f64)
                 .ok_or_else(|| "record member \"wall_s\" missing or not a number".to_owned())?,
-            sweep: SweepStats {
-                busy: Duration::from_nanos(u64_of(v, "sweep_busy_ns")?),
-                wall: Duration::from_nanos(u64_of(v, "sweep_wall_ns")?),
-            },
-            oracle,
-            cache,
-            voltages,
+            counters,
             requested_vdd,
             source: str_of(v, "source")?,
-            workload,
             sweep_failures,
             rows: usize::try_from(u64_of(v, "rows")?)
                 .map_err(|_| "record member \"rows\" out of range".to_owned())?,
@@ -528,6 +471,23 @@ pub fn push_key_str(out: &mut String, key: &str, value: &str) {
     push_json_str(out, key);
     out.push(':');
     push_json_str(out, value);
+}
+
+/// Append `"key":{…}` with one member per counter of `family`, in table
+/// order. Computed-cell counters are omitted when zero, so the
+/// `voltages` object names only the points a run computed at.
+pub fn push_counts(out: &mut String, key: &str, counts: &Counts, family: Family) {
+    let _ = write!(out, "\"{key}\":{{");
+    let members = counts
+        .family(family)
+        .filter(|&(_, v)| family != Family::Cells || v > 0);
+    for (i, (name, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{name}\":{value}");
+    }
+    out.push('}');
 }
 
 /// Append a JSON string literal with RFC 8259 escaping.
@@ -898,41 +858,37 @@ mod tests {
     use super::*;
 
     fn record(id: &str, error: Option<&str>) -> RunRecord {
+        let mut counters = Counts::default();
+        for (c, n) in [
+            (Counter::SweepBusyNs, 300),
+            (Counter::SweepWallNs, 200),
+            (Counter::GateSims, 7),
+            (Counter::LocalHits, 40),
+            (Counter::SharedHits, 3),
+            (Counter::ScreenHits, 25),
+            (Counter::ScreenMisses, 4),
+            (Counter::ScreenFallbacks, 2),
+            (Counter::StaFull, 3),
+            (Counter::DiskHits, 1),
+            (Counter::DiskMisses, 2),
+            (Counter::BytesWritten, 4096),
+            (Counter::CellsV045, 30),
+            (Counter::CellsV060, 30),
+            (Counter::TracesRecorded, 2),
+            (Counter::TraceReplays, 4),
+            (Counter::ReplayedInstructions, 120_000),
+        ] {
+            counters[c] = n;
+        }
         RunRecord {
             id: id.to_owned(),
             title: format!("Title of {id}"),
             scale: "fast".to_owned(),
             jobs: 2,
             wall_s: 1.25,
-            sweep: SweepStats {
-                busy: Duration::from_nanos(300),
-                wall: Duration::from_nanos(200),
-            },
-            oracle: OracleStats {
-                gate_sims: 7,
-                local_hits: 40,
-                shared_hits: 3,
-                screen_hits: 25,
-                screen_misses: 4,
-                screen_fallbacks: 2,
-                sta_full: 3,
-            },
-            cache: CacheStats {
-                disk_hits: 1,
-                disk_misses: 2,
-                corrupt_evictions: 0,
-                bytes_written: 4096,
-            },
-            voltages: vec![("v0.45".to_owned(), 30), ("v0.60".to_owned(), 30)],
+            counters,
             requested_vdd: vec!["v0.45".to_owned(), "v0.60".to_owned()],
             source: "generator".to_owned(),
-            workload: ntc_workload::WorkloadStats {
-                traces_recorded: 2,
-                trace_replays: 4,
-                phase_replays: 0,
-                replayed_instructions: 120_000,
-                phase_instructions: 0,
-            },
             sweep_failures: Vec::new(),
             rows: 6,
             csv: Some(PathBuf::from("target/repro/x.csv")),
@@ -1056,8 +1012,8 @@ mod tests {
     #[test]
     fn huge_counters_round_trip_through_the_manifest() {
         let mut r = record("fig3.4", None);
-        r.oracle.local_hits = (1u64 << 53) + 1;
-        r.sweep.busy = Duration::from_nanos(u64::MAX);
+        r.counters[Counter::LocalHits] = (1u64 << 53) + 1;
+        r.counters[Counter::SweepBusyNs] = u64::MAX;
         let m = Manifest::new("fast", 2, vec![r.clone()]);
         let back = Manifest::from_json_str(&m.to_json()).expect("manifest re-reads");
         assert_eq!(back.records[0], r, "exact counters, no f64 laundering");

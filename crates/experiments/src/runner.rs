@@ -24,12 +24,14 @@
 //! calling thread with zero overhead. A malformed `NTC_JOBS` value is
 //! ignored with a single warning rather than silently.
 //!
-//! The engine keeps global busy/wall counters so callers (the `repro`
+//! The engine counts its busy and wall time in the sweep family of the
+//! counter table ([`ntc_varmodel::telemetry`]), so callers (the `repro`
 //! binary) can report the effective speedup of each experiment; see
-//! [`take_stats`]. The counters are recorded on **every** exit path,
+//! [`take_stats`]. The time is counted on **every** exit path,
 //! including unwinding — a panicking sweep still accounts its wall and
 //! busy time, so per-experiment telemetry stays honest even for failing
-//! runs.
+//! runs. Workers run in their caller's counter scope, so a scope
+//! attributes all the work its sweeps fan out.
 //!
 //! Two failure disciplines are offered:
 //!
@@ -43,17 +45,14 @@
 //!   process-global registry ([`take_sweep_failures`]) so the `repro`
 //!   manifest can report them per experiment.
 
+use ntc_varmodel::telemetry::{self, Counter, Family};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Explicit thread-count override; 0 = unset.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// Cumulative worker-busy time across sweeps, nanoseconds.
-static BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
-/// Cumulative sweep wall-clock time, nanoseconds.
-static WALL_NANOS: AtomicU64 = AtomicU64::new(0);
 /// `NTC_JOBS`, read and parsed once per process (every sweep consults
 /// [`jobs`], and the variable cannot change meaningfully mid-run). The
 /// one-shot init also gives the malformed-value warning its warn-once
@@ -112,7 +111,7 @@ pub fn jobs() -> usize {
     )
 }
 
-/// Busy/wall accounting for the sweeps run since the last [`take_stats`].
+/// The sweep family of the counter table: busy/wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Total worker-busy time summed over all threads.
@@ -121,74 +120,13 @@ pub struct SweepStats {
     pub wall: Duration,
 }
 
-impl SweepStats {
-    /// Effective speedup (busy / wall): ≈1 sequentially, →jobs when the
-    /// sweep scales. `None` when no sweep ran.
-    pub fn speedup(&self) -> Option<f64> {
-        (self.wall > Duration::ZERO).then(|| self.busy.as_secs_f64() / self.wall.as_secs_f64())
-    }
-}
-
-/// Drain and reset the global sweep counters. The `repro` binary calls
-/// this per experiment to report each table's effective speedup.
+/// Drain the process-wide sweep counters, resetting them to zero.
 pub fn take_stats() -> SweepStats {
+    let c = telemetry::take(Family::Sweep);
     SweepStats {
-        busy: Duration::from_nanos(BUSY_NANOS.swap(0, Ordering::SeqCst)),
-        wall: Duration::from_nanos(WALL_NANOS.swap(0, Ordering::SeqCst)),
+        busy: Duration::from_nanos(c[Counter::SweepBusyNs]),
+        wall: Duration::from_nanos(c[Counter::SweepWallNs]),
     }
-}
-
-/// A per-run attribution scope for the sweep busy/wall counters. While
-/// installed on a thread (see [`set_sweep_scope`]), every accounting add
-/// additionally lands in the scope — how a server attributes sweep time
-/// to the job that ran it while concurrent jobs share the process-wide
-/// counters. Both busy and wall time are recorded on the thread that
-/// *calls* [`sweep`] (workers hand their busy time back to the join
-/// loop), so installing the scope on the calling thread is sufficient.
-#[derive(Debug, Default)]
-pub struct SweepScope {
-    busy_nanos: AtomicU64,
-    wall_nanos: AtomicU64,
-}
-
-impl SweepScope {
-    /// The time accumulated in this scope so far (non-draining).
-    pub fn snapshot(&self) -> SweepStats {
-        SweepStats {
-            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-            wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-thread_local! {
-    static SWEEP_SCOPE: std::cell::RefCell<Option<std::sync::Arc<SweepScope>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Install (or, with `None`, clear) the calling thread's sweep
-/// attribution scope, returning the previous one so callers can restore
-/// it.
-pub fn set_sweep_scope(
-    scope: Option<std::sync::Arc<SweepScope>>,
-) -> Option<std::sync::Arc<SweepScope>> {
-    SWEEP_SCOPE.with(|s| s.replace(scope))
-}
-
-/// The calling thread's installed sweep scope, if any.
-pub fn current_sweep_scope() -> Option<std::sync::Arc<SweepScope>> {
-    SWEEP_SCOPE.with(|s| s.borrow().clone())
-}
-
-/// Add nanoseconds to a global counter, mirroring into the calling
-/// thread's installed scope when one is present.
-fn account(global: &AtomicU64, pick: fn(&SweepScope) -> &AtomicU64, nanos: u64) {
-    global.fetch_add(nanos, Ordering::Relaxed);
-    SWEEP_SCOPE.with(|s| {
-        if let Some(scope) = s.borrow().as_ref() {
-            pick(scope).fetch_add(nanos, Ordering::Relaxed);
-        }
-    });
 }
 
 /// Run `f(0), f(1), …, f(n-1)` across worker threads and return the
@@ -226,28 +164,23 @@ where
         // Inline fast path: identical semantics, zero thread overhead.
         let busy_start = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(|| (0..n).map(f).collect::<Vec<T>>()));
-        account(
-            &BUSY_NANOS,
-            |s| &s.busy_nanos,
-            busy_start.elapsed().as_nanos() as u64,
-        );
+        telemetry::add(Counter::SweepBusyNs, busy_start.elapsed().as_nanos() as u64);
         out
     } else {
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let mut first_panic: Option<Payload> = None;
-        // Scoped thread-local state (the oracle attribution scope) does
-        // not cross thread boundaries on its own; hand the caller's
-        // scope to each worker so a server job's oracle counters include
-        // the work its sweep fanned out.
-        let oracle_scope = ntc_core::current_oracle_scope();
+        // The counter scope is thread-local and does not cross thread
+        // boundaries on its own; hand the caller's scope to each worker
+        // so a scoped run's counters include the work its sweep fans out.
+        let scope = telemetry::current();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let next = &next;
-                    let oracle_scope = oracle_scope.clone();
+                    let scope = scope.clone();
                     s.spawn(move || {
-                        ntc_core::set_oracle_scope(oracle_scope);
+                        telemetry::install(scope);
                         let busy_start = Instant::now();
                         let mut local: Vec<(usize, T)> = Vec::new();
                         // Catch inside the worker so a panicking task still
@@ -267,7 +200,7 @@ where
                 .collect();
             for h in handles {
                 let (local, busy, panic) = h.join().expect("worker catches its own panics");
-                account(&BUSY_NANOS, |s| &s.busy_nanos, busy.as_nanos() as u64);
+                telemetry::add(Counter::SweepBusyNs, busy.as_nanos() as u64);
                 for (i, t) in local {
                     slots[i] = Some(t);
                 }
@@ -284,11 +217,7 @@ where
                 .collect()),
         }
     };
-    account(
-        &WALL_NANOS,
-        |s| &s.wall_nanos,
-        wall_start.elapsed().as_nanos() as u64,
-    );
+    telemetry::add(Counter::SweepWallNs, wall_start.elapsed().as_nanos() as u64);
     result
 }
 
@@ -444,6 +373,22 @@ mod tests {
         assert!(stats.busy > Duration::ZERO);
         let drained = take_stats();
         assert_eq!(drained.wall, Duration::ZERO);
+    }
+
+    #[test]
+    fn workers_count_into_the_callers_scope() {
+        let _guard = JOBS_LOCK.lock().unwrap();
+        set_jobs(4);
+        let ((), counts) = telemetry::with_counter_scope(|| {
+            let out = sweep(8, |i| {
+                telemetry::add(Counter::TraceReplays, 1);
+                i
+            });
+            assert_eq!(out, (0..8).collect::<Vec<_>>());
+        });
+        set_jobs(0);
+        assert!(counts[Counter::SweepWallNs] > 0 && counts[Counter::SweepBusyNs] > 0);
+        assert_eq!(counts[Counter::TraceReplays], 8, "every worker's adds");
     }
 
     #[test]

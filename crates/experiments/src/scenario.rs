@@ -37,6 +37,7 @@ use ntc_core::scenario::{ChipContext, SchemeSpec, SimAccumulator};
 use ntc_core::sim::{run_scheme, SimResult};
 use ntc_core::tag_delay::TagDelayOracle;
 use ntc_pipeline::Pipeline;
+use ntc_varmodel::telemetry::{self, Counter};
 use ntc_varmodel::OperatingPoint;
 use ntc_workload::{Benchmark, TraceSource};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -434,26 +435,6 @@ fn run_cell(
     results
 }
 
-/// Per-voltage cell counters: how many grid cells were *computed* (not
-/// answered from a cache tier) at each roster point since the last
-/// [`take_voltage_cells`] drain. The repro harness folds the drained
-/// counts into each experiment's manifest record.
-static VOLTAGE_CELLS: Mutex<[u64; OperatingPoint::COUNT]> =
-    Mutex::new([0; OperatingPoint::COUNT]);
-
-/// Drain the per-voltage computed-cell counters: the nonzero roster
-/// points (ascending) with their counts, resetting all counters to zero.
-pub fn take_voltage_cells() -> Vec<(OperatingPoint, u64)> {
-    let mut counts = VOLTAGE_CELLS.lock().expect("voltage counters poisoned");
-    let drained: Vec<(OperatingPoint, u64)> = OperatingPoint::roster()
-        .into_iter()
-        .zip(counts.iter().copied())
-        .filter(|&(_, n)| n > 0)
-        .collect();
-    *counts = [0; OperatingPoint::COUNT];
-    drained
-}
-
 /// Run a grid without consulting or filling the cache: cells through
 /// [`sweep_over`], fold per (benchmark, operating point) row in index
 /// order. This is the function the thread-count determinism test
@@ -465,14 +446,10 @@ pub fn run_grid_uncached(spec: &GridSpec) -> GridResult {
     let cells = sweep_over(&grid, |_, &((bench, point), chip)| {
         run_cell(spec, bench, point, chip, need_buffered)
     });
-    {
-        let mut counts = VOLTAGE_CELLS.lock().expect("voltage counters poisoned");
-        for &((_, point), _) in &grid {
-            counts[OperatingPoint::roster()
-                .iter()
-                .position(|p| *p == point)
-                .expect("roster point")] += 1;
-        }
+    // Computed cells per operating point (memo and disk hits never get
+    // here).
+    for &((_, point), _) in &grid {
+        telemetry::add(Counter::cells_at(point), 1);
     }
     let rows = fold_cells(
         grid.iter().map(|&(g, _)| g),

@@ -82,8 +82,9 @@ fn record_replay_is_bit_identical_and_phases_stay_within_tolerance() {
     // ---- Baseline: the statistical generator --------------------------
     let generator = run_grid_uncached(&spec(TraceSource::Generator));
     let baseline_stats = ntc_workload::take_stats();
-    assert!(
-        !baseline_stats.any(),
+    assert_eq!(
+        baseline_stats,
+        ntc_workload::WorkloadStats::default(),
         "generator runs must not touch the record/replay counters: {baseline_stats:?}"
     );
 

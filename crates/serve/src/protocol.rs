@@ -38,13 +38,11 @@
 //! [`ErrorCode`]s.
 
 use ntc_core::scenario::SchemeSpec;
-use ntc_core::tag_delay::OracleStats;
-use ntc_experiments::cache::CacheStats;
-use ntc_experiments::report::{parse_json, push_key_str, push_json_str, Json};
-use ntc_experiments::runner::SweepStats;
+use ntc_experiments::report::{parse_json, push_counts, push_key_str, push_json_str, Json};
 use ntc_experiments::scenario::{row_label, GridResult, GridSpec, Regime};
 use ntc_experiments::table::ResultTable;
 use ntc_experiments::Scale;
+use ntc_varmodel::telemetry::{Counter, Counts, Family};
 use ntc_varmodel::OperatingPoint;
 use ntc_workload::ALL_BENCHMARKS;
 
@@ -52,6 +50,19 @@ use ntc_workload::ALL_BENCHMARKS;
 /// field/semantics change (mirrors the manifest's
 /// `ntc-repro-manifest/N` convention).
 pub const RECEIPT_SCHEMA: &str = "ntc-serve-receipt/1";
+
+/// Largest `cycles` a wire grid spec may ask for. Every cell builds its
+/// whole trace up front (24 bytes per instruction), so without a bound a
+/// single request can abort the daemon with an allocation failure. 2 M
+/// is twice the full-scale 1 M-cycle trace the registry and the
+/// benchmark's serve-mix pool use, about 48 MB per cell in flight.
+pub const MAX_WIRE_CYCLES: usize = 2_000_000;
+
+/// Largest `chips` a wire grid spec may ask for. A request computes
+/// benchmarks × chips × operating points cells in one compute slot; 64
+/// is 12× the full-scale 5 chips, so no request can hold a slot for
+/// orders of magnitude longer than the largest registry grid.
+pub const MAX_WIRE_CHIPS: usize = 64;
 
 /// Machine-readable failure classes of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,33 +235,24 @@ fn spec_from_json(v: &Json) -> Result<GridSpec, String> {
     if benchmarks.is_empty() || schemes.is_empty() || voltages.is_empty() {
         return Err("spec: benchmarks, schemes and vdd must be non-empty".into());
     }
+    let bounded = |key: &str, max: usize| {
+        let n = u64_field(v, key)?;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= max)
+            .ok_or_else(|| format!("spec: {key:?} is {n}, above the limit of {max}"))
+    };
     Ok(GridSpec {
         benchmarks,
-        chips: u64_field(v, "chips")? as usize,
+        chips: bounded("chips", MAX_WIRE_CHIPS)?,
         schemes,
         voltages,
         regime,
         chip_seed_base: u64_field(v, "chip_seed_base")?,
         trace_seed: u64_field(v, "trace_seed")?,
-        cycles: u64_field(v, "cycles")? as usize,
+        cycles: bounded("cycles", MAX_WIRE_CYCLES)?,
         source,
     })
-}
-
-/// Telemetry drained around one compute, attributed to the request in
-/// its receipt. Exact when the server's compute budget is 1 (the
-/// default — requests drain the process-global counters sequentially,
-/// the same pattern batch `repro` uses per experiment); at larger
-/// budgets concurrent computes share the counters and the split is
-/// approximate.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JobCounters {
-    /// Sweep busy/wall time of the compute.
-    pub sweep: SweepStats,
-    /// Delay-oracle counters (gate sims, cache tiers, screen, STA).
-    pub oracle: OracleStats,
-    /// Disk-cache counters.
-    pub cache: CacheStats,
 }
 
 /// The per-request receipt: schema-versioned provenance mirroring
@@ -266,8 +268,9 @@ pub struct Receipt {
     pub coalesced_with: u64,
     /// Time spent queued behind the admission gate, microseconds.
     pub queue_wait_us: u64,
-    /// Compute telemetry (zeroed for pure cache hits).
-    pub counters: JobCounters,
+    /// What the compute counted, from its counter scope: exact per
+    /// request at any compute budget (zeroed for pure cache hits).
+    pub counters: Counts,
 }
 
 impl Receipt {
@@ -279,29 +282,17 @@ impl Receipt {
         push_key_str(&mut out, "tier", &self.tier);
         out.push_str(&format!(",\"coalesced_with\":{}", self.coalesced_with));
         out.push_str(&format!(",\"queue_wait_us\":{}", self.queue_wait_us));
-        out.push_str(&format!(
-            ",\"sweep_busy_us\":{}",
-            self.counters.sweep.busy.as_micros()
-        ));
-        out.push_str(&format!(
-            ",\"sweep_wall_us\":{}",
-            self.counters.sweep.wall.as_micros()
-        ));
-        out.push_str(",\"oracle\":{");
-        for (i, (k, v)) in self.counters.oracle.fields().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{v}"));
+        for (key, c) in [
+            ("sweep_busy_us", Counter::SweepBusyNs),
+            ("sweep_wall_us", Counter::SweepWallNs),
+        ] {
+            out.push_str(&format!(",\"{key}\":{}", self.counters[c] / 1000));
         }
-        out.push_str("},\"cache\":{");
-        for (i, (k, v)) in self.counters.cache.fields().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{v}"));
+        for (key, family) in [("oracle", Family::Oracle), ("cache", Family::Cache)] {
+            out.push(',');
+            push_counts(&mut out, key, &self.counters, family);
         }
-        out.push_str("}}");
+        out.push('}');
         out
     }
 }
@@ -560,6 +551,39 @@ mod tests {
     }
 
     #[test]
+    fn oversize_chips_cycles_and_capacities_are_rejected() {
+        let grid = |chips: &str, cycles: &str, scheme: &str| {
+            parse_request(&format!(
+                r#"{{"op":"grid","spec":{{"benchmarks":["mcf"],"chips":{chips},
+                    "schemes":["{scheme}"],"regime":"ch3",
+                    "chip_seed_base":0,"trace_seed":0,"cycles":{cycles}}}}}"#
+            ))
+        };
+        // The registry's and serve-mix's largest grids stay servable.
+        const { assert!(MAX_WIRE_CYCLES >= 1_000_000 && MAX_WIRE_CHIPS >= 5) };
+        let max_chips = MAX_WIRE_CHIPS.to_string();
+        let max_cycles = MAX_WIRE_CYCLES.to_string();
+        assert!(grid(&max_chips, &max_cycles, "trident:512").is_ok());
+        let huge = u64::MAX.to_string();
+        let above_chips = (MAX_WIRE_CHIPS + 1).to_string();
+        let above_cycles = (MAX_WIRE_CYCLES + 1).to_string();
+        for (chips, cycles) in [
+            ("1", huge.as_str()),
+            ("1", "1000000000000"),
+            ("1", above_cycles.as_str()),
+            (huge.as_str(), "100"),
+            (above_chips.as_str(), "100"),
+        ] {
+            let err = grid(chips, cycles, "razor").expect_err("oversize spec must not parse");
+            assert!(err.contains("above the limit"), "{err}");
+        }
+        for scheme in ["dcs-icslt:18446744073709551615", "dcs-acslt:4096/4097"] {
+            let err = grid("1", "100", scheme).expect_err(scheme);
+            assert!(err.contains("bad scheme"), "{err}");
+        }
+    }
+
+    #[test]
     fn bad_requests_are_rejected_with_messages() {
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"op":"warp"}"#).is_err());
@@ -578,7 +602,7 @@ mod tests {
             tier: "computed".into(),
             coalesced_with: 2,
             queue_wait_us: 15,
-            counters: JobCounters::default(),
+            counters: Counts::default(),
         };
         let line = r.to_json();
         assert!(!line.contains('\n'), "single-line framing");
@@ -602,7 +626,7 @@ mod tests {
             tier: "memo".into(),
             coalesced_with: 0,
             queue_wait_us: 0,
-            counters: JobCounters::default(),
+            counters: Counts::default(),
         };
         let line = render_ok_csv("grid", "grid", &csv, &receipt);
         assert!(!line.contains('\n'), "framing survives embedded newlines");

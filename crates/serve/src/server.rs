@@ -4,20 +4,21 @@
 //! One thread per connection (clients are few and long computes
 //! dominate); within a compute, the shared parallel runner spreads the
 //! grid's cells over the worker pool, so the daemon's own threading
-//! stays trivial. The process-global telemetry counters (sweep
-//! busy/wall, oracle, disk cache) are drained around each compute into
-//! the request's receipt — exact at the default compute budget of 1,
-//! approximate above it (documented in [`crate::protocol::JobCounters`]).
+//! stays trivial. Each compute runs in its own counter scope
+//! ([`ntc_varmodel::telemetry::with_counter_scope`]), whose snapshot
+//! becomes the request's receipt: exact per request at any compute
+//! budget, since the sweep engine forwards the scope into its workers.
 
 use crate::admission::Admission;
 use crate::coalesce::{FlightMap, Role};
 use crate::protocol::{
     grid_table, parse_request, render_error, render_list, render_ok, render_ok_csv, render_stats,
-    table_csv, ErrorCode, JobCounters, Receipt, Request,
+    table_csv, ErrorCode, Receipt, Request,
 };
 use ntc_core::scenario::SchemeSpec;
 use ntc_experiments::scenario::GridTier;
 use ntc_experiments::{all_experiments, cache, runner, scenario, Scale};
+use ntc_varmodel::telemetry::{with_counter_scope, Counter, Counts};
 use ntc_workload::ALL_BENCHMARKS;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpListener;
@@ -37,8 +38,7 @@ pub enum Addr {
 }
 
 /// Daemon configuration. `Default` gives a single-slot compute budget
-/// (exact per-request telemetry) and a 32-deep admission queue on a
-/// Unix socket at `ntc-serve.sock`.
+/// and a 32-deep admission queue on a Unix socket at `ntc-serve.sock`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address.
@@ -130,12 +130,12 @@ struct ServerStats {
 /// What one compute publishes to its coalesced joiners.
 #[derive(Debug)]
 enum JobOutput {
-    /// The compute finished: payload bytes plus the drained telemetry
+    /// The compute finished: payload bytes plus the scoped telemetry
     /// (joiners report tier `coalesced`; the answering tier is the
     /// leader's to report).
     Done {
         csv: String,
-        counters: JobCounters,
+        counters: Box<Counts>,
     },
     /// The leader was refused admission; joiners are busy too.
     Busy,
@@ -376,7 +376,7 @@ impl Server {
     /// Run one compute job through coalescing and admission, and render
     /// its response. `job` returns the CSV payload plus an exact cache
     /// tier when it knows one (grid requests); experiment requests
-    /// return `None` and the tier is inferred from the drained
+    /// return `None` and the tier is inferred from the scoped
     /// counters.
     fn serve_job(
         &self,
@@ -395,7 +395,7 @@ impl Server {
                             tier: "coalesced".into(),
                             coalesced_with: joiners,
                             queue_wait_us: 0,
-                            counters: *counters,
+                            counters: **counters,
                         };
                         render_ok_csv(op, id, csv, &receipt)
                     }
@@ -430,20 +430,14 @@ impl Server {
                 if !self.cfg.hold_before_compute.is_zero() {
                     std::thread::sleep(self.cfg.hold_before_compute);
                 }
-                // Per-job attribution scopes: the engines mirror every
-                // counter increment into the scopes installed here (the
-                // sweep engine forwards them into its workers), so each
-                // concurrent compute bills exactly its own work — no
-                // drain races at budgets above 1. The process-global
-                // counters keep ticking undisturbed.
-                let (outcome, scoped) = ntc_experiments::with_counter_scope(|| {
+                // Per-job counter scope: every counter add on this thread
+                // also lands in the scope (the sweep engine forwards it
+                // into its workers), so each concurrent compute bills
+                // exactly its own work. The process-wide root table
+                // keeps counting undisturbed.
+                let (outcome, counters) = with_counter_scope(|| {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
                 });
-                let counters = JobCounters {
-                    sweep: scoped.sweep,
-                    oracle: scoped.oracle,
-                    cache: scoped.cache,
-                };
                 let queue_wait_us = permit.queue_wait.as_micros() as u64;
                 drop(permit);
                 match outcome {
@@ -452,11 +446,11 @@ impl Server {
                             // Experiment runners consult the grid cache
                             // internally; infer the tier from what the
                             // compute actually did.
-                            if counters.sweep.wall > Duration::ZERO
-                                || counters.oracle.gate_sims > 0
+                            if counters[Counter::SweepWallNs] > 0
+                                || counters[Counter::GateSims] > 0
                             {
                                 "computed"
-                            } else if counters.cache.disk_hits > 0 {
+                            } else if counters[Counter::DiskHits] > 0 {
                                 "disk"
                             } else {
                                 "memo"
@@ -471,7 +465,7 @@ impl Server {
                         };
                         let joiners = token.publish(Arc::new(JobOutput::Done {
                             csv: csv.clone(),
-                            counters,
+                            counters: Box::new(counters),
                         }));
                         let receipt = Receipt {
                             tier: tier.into(),

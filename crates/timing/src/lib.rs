@@ -63,4 +63,4 @@ pub use errors::{
 };
 pub use paths::{k_critical_paths, RankedPath, SlackReport};
 pub use screen::{ScreenBounds, ScreenVerdict, ScreenedSim, SCREEN_GUARD_PS};
-pub use sta::{set_sta_scope, take_sta_counters, StaCounters, StaScope, StaticTiming, TimingPath};
+pub use sta::{StaticTiming, TimingPath};

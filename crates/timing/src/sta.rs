@@ -5,84 +5,9 @@
 //! assumed sensitizable); the *dynamic* analysis in [`crate::dynamic`]
 //! refines this with actual input vectors.
 
-use ntc_varmodel::ChipSignature;
 use ntc_netlist::{Netlist, Signal};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Process-wide count of [`StaticTiming::analyze`] runs, cumulative
-/// (never reset), for regression tests that pin how often the analysis
-/// executes — e.g. that the chip memo pool analyzes each chip exactly once.
-static ANALYSIS_COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// Total [`StaticTiming::analyze`] invocations in this process so far.
-pub fn analysis_count() -> u64 {
-    ANALYSIS_COUNT.load(Ordering::Relaxed)
-}
-
-/// The draining twin of [`ANALYSIS_COUNT`], reset by [`take_sta_counters`].
-static STAT_STA_FULL: AtomicU64 = AtomicU64::new(0);
-
-/// Static-timing cost counters since the last [`take_sta_counters`]
-/// call, process-wide. The delay-oracle stats drain folds these into the
-/// run telemetry (`manifest.json`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StaCounters {
-    /// Full static analyses ([`StaticTiming::analyze`] passes).
-    pub sta_full: u64,
-}
-
-/// Drain the process-wide [`StaCounters`], resetting them to zero.
-/// Mirrors the delay oracle's stats drain (and is consumed by it).
-pub fn take_sta_counters() -> StaCounters {
-    StaCounters {
-        sta_full: STAT_STA_FULL.swap(0, Ordering::Relaxed),
-    }
-}
-
-/// A per-run attribution scope for the STA counters. While installed on
-/// a thread (see [`set_sta_scope`]), every analysis lands in the scope
-/// *in addition to* the process-wide drain — so a server handling
-/// concurrent jobs can attribute timing work to the job that caused it
-/// without perturbing the global telemetry other callers drain.
-#[derive(Debug, Default)]
-pub struct StaScope {
-    sta_full: AtomicU64,
-}
-
-impl StaScope {
-    /// The counters accumulated in this scope so far (non-draining).
-    pub fn snapshot(&self) -> StaCounters {
-        StaCounters {
-            sta_full: self.sta_full.load(Ordering::Relaxed),
-        }
-    }
-}
-
-thread_local! {
-    static STA_SCOPE: RefCell<Option<Arc<StaScope>>> = const { RefCell::new(None) };
-}
-
-/// Install (or, with `None`, clear) the calling thread's STA attribution
-/// scope, returning the previously installed one so callers can restore
-/// it. The scope is an `Arc`: install the same one on every worker
-/// thread of a run to aggregate across them.
-pub fn set_sta_scope(scope: Option<Arc<StaScope>>) -> Option<Arc<StaScope>> {
-    STA_SCOPE.with(|s| s.replace(scope))
-}
-
-/// Count one full analysis: the cumulative total, the drain, and the
-/// thread's installed scope, if any.
-fn note_full_analysis() {
-    ANALYSIS_COUNT.fetch_add(1, Ordering::Relaxed);
-    STAT_STA_FULL.fetch_add(1, Ordering::Relaxed);
-    STA_SCOPE.with(|s| {
-        if let Some(scope) = s.borrow().as_ref() {
-            scope.sta_full.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-}
+use ntc_varmodel::telemetry::{self, Counter};
+use ntc_varmodel::ChipSignature;
 
 /// Static arrival times for every signal of a netlist under one chip's
 /// delay signature.
@@ -105,7 +30,7 @@ impl StaticTiming {
             nl.len(),
             "signature/netlist mismatch"
         );
-        note_full_analysis();
+        telemetry::add(Counter::StaFull, 1);
         let n = nl.len();
         let mut max_arrival = vec![0.0; n];
         let mut min_arrival = vec![0.0; n];

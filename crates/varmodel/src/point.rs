@@ -60,6 +60,11 @@ impl OperatingPoint {
         out
     }
 
+    /// Position in the roster (0 = NTC).
+    pub(crate) fn index(self) -> usize {
+        usize::from(self.0)
+    }
+
     /// Supply voltage of this point, volts.
     pub fn vdd(self) -> f64 {
         TABLE[self.0 as usize].2

@@ -26,17 +26,18 @@
 //!
 //! Decoded traces and phase sets are memoized process-wide per file path
 //! (an `Arc` per file), so a grid's many (chip × scheme × voltage) cells
-//! decode each trace once. Replay telemetry is counted process-globally
-//! and drained per experiment by the `repro` binary ([`take_stats`]),
-//! mirroring the sweep/oracle/cache counter discipline.
+//! decode each trace once. Replay traffic is counted in the workload
+//! family of the counter table ([`ntc_varmodel::telemetry`]); see
+//! [`take_stats`].
 
 use crate::simpoint::{self, PhaseSet, DEFAULT_K};
 use crate::trace_bin;
 use crate::{Benchmark, TraceGenerator};
 use ntc_isa::Instruction;
+use ntc_varmodel::telemetry::{self, Counter, Family};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One weighted segment of a resolved cell: the instructions to
@@ -113,11 +114,11 @@ impl TraceSource {
     ) -> Result<Vec<Segment>, String> {
         match self {
             TraceSource::Generator => Ok(vec![Segment {
-                trace: Arc::new(TraceGenerator::new(bench, seed).trace(cycles)),
+                trace: generated(bench, seed, cycles),
                 weight: 1,
             }]),
             TraceSource::Record(dir) => {
-                let trace = Arc::new(TraceGenerator::new(bench, seed).trace(cycles));
+                let trace = generated(bench, seed, cycles);
                 let path = Self::trace_path(dir, bench, seed, cycles);
                 // Every chip × scheme × voltage cell of the benchmark
                 // resolves this path, often on parallel sweep workers:
@@ -125,7 +126,7 @@ impl TraceSource {
                 if claim_record(&path) && !path.is_file() {
                     trace_bin::write_trace_file(&path, &trace)
                         .map_err(|e| format!("recording {}: {e}", path.display()))?;
-                    STAT_TRACES_RECORDED.fetch_add(1, Ordering::Relaxed);
+                    telemetry::add(Counter::TracesRecorded, 1);
                 }
                 Ok(vec![Segment { trace, weight: 1 }])
             }
@@ -139,15 +140,14 @@ impl TraceSource {
                         trace.len()
                     ));
                 }
-                STAT_TRACE_REPLAYS.fetch_add(1, Ordering::Relaxed);
-                STAT_REPLAYED_INSTRUCTIONS.fetch_add(trace.len() as u64, Ordering::Relaxed);
+                telemetry::add(Counter::TraceReplays, 1);
+                telemetry::add(Counter::ReplayedInstructions, trace.len() as u64);
                 Ok(vec![Segment { trace, weight: 1 }])
             }
             TraceSource::Phases(dir) => {
                 let set = memo_phases(dir, bench, seed, cycles)?;
-                STAT_PHASE_REPLAYS.fetch_add(1, Ordering::Relaxed);
-                STAT_PHASE_INSTRUCTIONS
-                    .fetch_add(set.simulated_instructions(), Ordering::Relaxed);
+                telemetry::add(Counter::PhaseReplays, 1);
+                telemetry::add(Counter::PhaseInstructions, set.simulated_instructions());
                 Ok(set
                     .phases
                     .iter()
@@ -255,18 +255,44 @@ fn memo_phases(
     Ok(set)
 }
 
+thread_local! {
+    /// The last trace [`generated`] on this thread, with its key.
+    static LAST_GENERATED: RefCell<Option<GeneratedTrace>> = const { RefCell::new(None) };
+}
+
+type GeneratedTrace = ((Benchmark, u64, usize), Arc<Vec<Instruction>>);
+
+/// The generator trace of one cell, shared with the previous cell on
+/// this thread when both ask for the same `(bench, seed, cycles)`.
+///
+/// A grid runs a benchmark's chips back to back, so consecutive cells
+/// usually want the same trace (a pure function of its key). Reusing it
+/// saves the regeneration. Dropping the previous trace only just before
+/// the next one is collected hands its memory straight to the new trace:
+/// a multi-megabyte trace freed per cell and reallocated after the next
+/// chip's allocations fragments the heap, keeping a second trace's worth
+/// of memory resident at full scale.
+fn generated(bench: Benchmark, seed: u64, cycles: usize) -> Arc<Vec<Instruction>> {
+    LAST_GENERATED.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        match slot.as_ref() {
+            Some((key, trace)) if *key == (bench, seed, cycles) => trace.clone(),
+            _ => {
+                let mut generator = TraceGenerator::new(bench, seed);
+                *slot = None;
+                let trace = Arc::new(generator.trace(cycles));
+                *slot = Some(((bench, seed, cycles), trace.clone()));
+                trace
+            }
+        }
+    })
+}
+
 // ---------------------------------------------------------------------
 // Telemetry
 // ---------------------------------------------------------------------
 
-static STAT_TRACES_RECORDED: AtomicU64 = AtomicU64::new(0);
-static STAT_TRACE_REPLAYS: AtomicU64 = AtomicU64::new(0);
-static STAT_PHASE_REPLAYS: AtomicU64 = AtomicU64::new(0);
-static STAT_REPLAYED_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
-static STAT_PHASE_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Record/replay counters for the cells resolved since the last
-/// [`take_stats`] drain.
+/// The workload family of the counter table: record/replay traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkloadStats {
     /// Binary trace files newly written by [`TraceSource::Record`].
@@ -284,44 +310,29 @@ pub struct WorkloadStats {
 }
 
 impl WorkloadStats {
-    /// The counters as stable `(field name, value)` pairs, in
-    /// declaration order — the single source of truth for serializers.
+    /// The counters as `(manifest key, value)` pairs, in table order.
     pub fn fields(&self) -> [(&'static str, u64); 5] {
         [
-            ("traces_recorded", self.traces_recorded),
-            ("trace_replays", self.trace_replays),
-            ("phase_replays", self.phase_replays),
-            ("replayed_instructions", self.replayed_instructions),
-            ("phase_instructions", self.phase_instructions),
+            (Counter::TracesRecorded, self.traces_recorded),
+            (Counter::TraceReplays, self.trace_replays),
+            (Counter::PhaseReplays, self.phase_replays),
+            (Counter::ReplayedInstructions, self.replayed_instructions),
+            (Counter::PhaseInstructions, self.phase_instructions),
         ]
-    }
-
-    /// Whether any record/replay activity happened at all (the manifest
-    /// summary prints the counters only when it did).
-    pub fn any(&self) -> bool {
-        *self != WorkloadStats::default()
+        .map(|(c, v)| (c.name(), v))
     }
 }
 
-impl std::ops::AddAssign for WorkloadStats {
-    fn add_assign(&mut self, rhs: WorkloadStats) {
-        self.traces_recorded += rhs.traces_recorded;
-        self.trace_replays += rhs.trace_replays;
-        self.phase_replays += rhs.phase_replays;
-        self.replayed_instructions += rhs.replayed_instructions;
-        self.phase_instructions += rhs.phase_instructions;
-    }
-}
-
-/// Drain and reset the global record/replay counters (the `repro`
-/// binary calls this per experiment for its `manifest.json`).
+/// Drain the process-wide record/replay counters, resetting them to
+/// zero.
 pub fn take_stats() -> WorkloadStats {
+    let c = telemetry::take(Family::Workload);
     WorkloadStats {
-        traces_recorded: STAT_TRACES_RECORDED.swap(0, Ordering::SeqCst),
-        trace_replays: STAT_TRACE_REPLAYS.swap(0, Ordering::SeqCst),
-        phase_replays: STAT_PHASE_REPLAYS.swap(0, Ordering::SeqCst),
-        replayed_instructions: STAT_REPLAYED_INSTRUCTIONS.swap(0, Ordering::SeqCst),
-        phase_instructions: STAT_PHASE_INSTRUCTIONS.swap(0, Ordering::SeqCst),
+        traces_recorded: c[Counter::TracesRecorded],
+        trace_replays: c[Counter::TraceReplays],
+        phase_replays: c[Counter::PhaseReplays],
+        replayed_instructions: c[Counter::ReplayedInstructions],
+        phase_instructions: c[Counter::PhaseInstructions],
     }
 }
 
@@ -334,6 +345,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("test dir");
         dir
+    }
+
+    #[test]
+    fn consecutive_cells_share_one_generated_trace() {
+        let a = generated(Benchmark::Gzip, 3, 500);
+        let b = generated(Benchmark::Gzip, 3, 500);
+        assert!(Arc::ptr_eq(&a, &b), "same key on one thread: one trace");
+        let c = generated(Benchmark::Mcf, 3, 500);
+        assert_eq!(*a, TraceGenerator::new(Benchmark::Gzip, 3).trace(500));
+        assert_eq!(*c, TraceGenerator::new(Benchmark::Mcf, 3).trace(500));
     }
 
     #[test]

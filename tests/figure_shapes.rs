@@ -7,18 +7,16 @@ use ntc_choke::varmodel::Corner;
 
 #[test]
 fn manifest_shape_is_golden() {
-    use ntc_choke::core::tag_delay::take_oracle_stats;
+    use ntc_choke::core::tag_delay::OracleStats;
     use ntc_choke::experiments::report::{parse_json, Manifest, RunRecord, MANIFEST_SCHEMA};
     use ntc_choke::experiments::runner;
+    use ntc_choke::varmodel::telemetry::with_counter_scope;
 
     // Build one record exactly the way the repro binary does: run a real
-    // experiment, drain the telemetry counters, save the CSV.
-    let _ = runner::take_stats();
-    let _ = take_oracle_stats();
-    let _ = ntc_choke::experiments::cache::take_stats();
+    // experiment in a counter scope, save the CSV.
     let _ = runner::take_sweep_failures();
     let start = std::time::Instant::now();
-    let table = ch3::fig_3_4(Scale::Fast);
+    let (table, counters) = with_counter_scope(|| ch3::fig_3_4(Scale::Fast));
     let dir = std::env::temp_dir().join(format!("ntc-manifest-shape-{}", std::process::id()));
     let csv = table.save_csv(&dir).expect("CSV written");
     let record = RunRecord {
@@ -27,26 +25,19 @@ fn manifest_shape_is_golden() {
         scale: "fast".to_owned(),
         jobs: runner::jobs(),
         wall_s: start.elapsed().as_secs_f64(),
-        sweep: runner::take_stats(),
-        oracle: take_oracle_stats(),
-        cache: ntc_choke::experiments::cache::take_stats(),
-        voltages: ntc_choke::experiments::take_voltage_cells()
-            .into_iter()
-            .map(|(point, cells)| (point.name().to_owned(), cells))
-            .collect(),
+        counters,
         requested_vdd: ntc_choke::experiments::voltages()
             .iter()
             .map(|p| p.name().to_owned())
             .collect(),
         source: "generator".to_owned(),
-        workload: ntc_choke::workload::take_stats(),
         sweep_failures: runner::take_sweep_failures(),
         rows: table.rows.len(),
         csv: Some(csv),
         resumed: false,
         error: None,
     };
-    let oracle_queries = record.oracle.queries();
+    let oracle_queries = OracleStats::from(&record.counters).queries();
     let manifest = Manifest::new("fast", record.jobs, vec![record]);
     let path = manifest.save(&dir).expect("manifest written");
     let parsed = parse_json(&std::fs::read_to_string(&path).expect("readable"))
@@ -144,7 +135,7 @@ fn manifest_shape_is_golden() {
         Some(1.0),
         "suite totals fold the records"
     );
-    assert!(oracle_queries > 0, "oracle counters were drained into the record");
+    assert!(oracle_queries > 0, "oracle counters were scoped into the record");
 }
 
 #[test]

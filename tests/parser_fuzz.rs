@@ -1,8 +1,9 @@
 //! Seeded mutation fuzzing of every parser that reads untrusted bytes:
-//! `.ntt` traces (`decode_trace`), `.ntp` phase sets (`decode_phases`),
-//! `.grid` cache artifacts (`cache::load`), JSON documents
-//! (`report::parse_json`) and `ntc-serve` request lines
-//! (`parse_request`).
+//! `.ntt` traces (`decode_trace`), text traces (`trace_io::read_trace`),
+//! `.ntp` phase sets (`decode_phases`), `.grid` cache artifacts
+//! (`cache::load`), JSON documents (`report::parse_json`), `ntc-serve`
+//! request lines (`parse_request`), `--vdd` lists (`parse_voltages`) and
+//! scheme names (`SchemeSpec::parse`).
 //!
 //! Each valid input is mutated by a fixed-seed SplitMix64 stream: bit
 //! flips, truncations, byte splices and length-field edits (an aligned
@@ -15,6 +16,7 @@
 
 use ntc_choke::core::scenario::SchemeSpec;
 use ntc_choke::experiments::cache;
+use ntc_choke::experiments::config::parse_voltages;
 use ntc_choke::experiments::report::parse_json;
 use ntc_choke::experiments::scenario::{run_grid_uncached, GridSpec, Regime};
 use ntc_choke::isa::{Instruction, ALL_OPCODES};
@@ -23,6 +25,7 @@ use ntc_choke::varmodel::rng::SplitMix64;
 use ntc_choke::varmodel::OperatingPoint;
 use ntc_choke::workload::simpoint::{decode_phases, encode_phases, sample_phases};
 use ntc_choke::workload::trace_bin::{decode_trace, encode_trace, fnv1a64};
+use ntc_choke::workload::trace_io::{read_trace, write_trace};
 use ntc_choke::workload::{Benchmark, TraceSource};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -168,6 +171,64 @@ fn trace_decoder_rejects_mutants_without_panicking() {
         assert!(
             rejected > 0,
             "{label}: re-sealed mutants reach the structural checks"
+        );
+    }
+}
+
+#[test]
+fn text_trace_reader_never_panics() {
+    for (n, seed) in [(1usize, 0xA5u64), (24, 0xA6)] {
+        let mut text = Vec::new();
+        write_trace(&sample_trace(n), &mut text).expect("in-memory write");
+        assert!(read_trace(&text[..]).is_ok());
+        let rejected = fuzz(
+            &format!("trace text[{n}]"),
+            seed,
+            &text,
+            false,
+            false,
+            |m| read_trace(m).is_ok(),
+        );
+        assert!(
+            rejected > 0,
+            "trace text[{n}]: mutants reach the line checks"
+        );
+    }
+}
+
+#[test]
+fn voltage_list_and_scheme_name_parsers_never_panic() {
+    for (i, list) in ["ntc,v0.55,0.65,stc", " v0.80 , ntc ,, 0.50"]
+        .iter()
+        .enumerate()
+    {
+        assert!(parse_voltages(list).is_ok(), "seed list {i} parses");
+        fuzz(
+            &format!("vdd[{i}]"),
+            0xF0 + i as u64,
+            list.as_bytes(),
+            false,
+            false,
+            |m| parse_voltages(&String::from_utf8_lossy(m)).is_ok(),
+        );
+    }
+    for (i, name) in [
+        "dcs-acslt:32/16",
+        "trident:512",
+        "harden-choke:8",
+        "razor-ch4",
+    ]
+    .iter()
+    .enumerate()
+    {
+        assert!(SchemeSpec::parse(name).is_ok(), "seed name {i} parses");
+        fuzz(
+            &format!("scheme[{i}]"),
+            0xF8 + i as u64,
+            name.as_bytes(),
+            false,
+            false,
+            |m| SchemeSpec::parse(&String::from_utf8_lossy(m)).is_ok(),
         );
     }
 }
