@@ -95,6 +95,38 @@ if [ -s target/repro-ci-counters.diff ]; then
   echo "FAIL: work counters drifted from $counter_golden"; exit 1
 fi
 
+echo "==> repro --full --jobs 1 fig3.10: pinned digest and oracle work counters"
+# The full-scale grid is the only run that replays the oracle's delay
+# table at scale: 120 M lookups over 6 benchmarks x 5 chips x 4 schemes.
+# Its CSV must match perfbench/digests.json (read, never written) and its
+# oracle counters the values pinned here; at --jobs 1 they are exact.
+rm -rf target/repro-ci-full
+./target/release/repro --full --jobs 1 --out target/repro-ci-full fig3.10 > /dev/null
+full_pins='{"gate_sims": 32800, "local_hits": 89967110, "screen_hits": 29999970,
+  "screen_fallbacks": 32800, "sta_full": 6}'
+if command -v jq >/dev/null 2>&1; then
+  full_sha=$(jq -r '.repro.full["fig3.10"]' perfbench/digests.json)
+  jq -r --argjson pins "$full_pins" '.records[0].oracle as $o
+    | $pins | to_entries[] | select($o[.key] != .value)
+    | "oracle.\(.key): manifest \($o[.key]), pinned \(.value)"' \
+    target/repro-ci-full/manifest.json > target/repro-ci-full.diff
+else
+  full_sha=$(python3 -c 'import json
+print(json.load(open("perfbench/digests.json"))["repro"]["full"]["fig3.10"])')
+  FULL_PINS="$full_pins" python3 - > target/repro-ci-full.diff <<'EOF'
+import json, os
+oracle = json.load(open("target/repro-ci-full/manifest.json"))["records"][0]["oracle"]
+for key, want in json.loads(os.environ["FULL_PINS"]).items():
+    if oracle.get(key) != want:
+        print("oracle.%s: manifest %s, pinned %s" % (key, oracle.get(key), want))
+EOF
+fi
+echo "$full_sha  target/repro-ci-full/fig3_10.csv" | sha256sum --quiet -c
+if [ -s target/repro-ci-full.diff ]; then
+  cat target/repro-ci-full.diff
+  echo "FAIL: full-grid oracle counters drifted"; exit 1
+fi
+
 echo "==> repro --fast fig3.4"
 ./target/release/repro --fast fig3.4
 

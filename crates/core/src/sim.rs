@@ -4,7 +4,7 @@
 
 use crate::scheme::{violation_of, CycleContext, CycleOutcome, ResilienceScheme};
 use crate::tag_delay::TagDelayOracle;
-use ntc_isa::{Instruction, Opcode, OperandSize};
+use ntc_isa::{ErrorTag, Instruction, Opcode, OperandSize};
 use ntc_pipeline::{EnergyModel, EnergyReport, Pipeline, RunCost};
 use ntc_timing::{classify_stream, ClockSpec, ErrorClass};
 use std::collections::HashMap;
@@ -99,21 +99,26 @@ pub fn run_scheme(
     // Fixed-size per-class counters: no allocation on the recovery path.
     let mut by_class = [0u64; ErrorClass::COUNT];
 
-    // Precompute delays pairwise, streaming: delays[i] for (i-1, i).
-    let mut cur_delays = oracle.delays(&trace[0], &trace[1]);
+    // Precompute delays pairwise, streaming: delays[i] for (i-1, i). Each
+    // pair's tag is built once, for its oracle lookup one cycle ahead and
+    // then for its own cycle's context.
+    let mut cur_tag = ErrorTag::of(&trace[0], &trace[1]);
+    let mut cur_delays = oracle.delays_of(cur_tag, &trace[0], &trace[1]);
     // Set when the previous cycle's outcome consumed this cycle's min
     // violation as the second half of a consecutive error.
     let mut min_consumed = false;
     for i in 1..trace.len() {
-        let next_delays = if i + 1 < trace.len() {
-            Some(oracle.delays(&trace[i], &trace[i + 1]))
+        let next = if i + 1 < trace.len() {
+            let tag = ErrorTag::of(&trace[i], &trace[i + 1]);
+            Some((tag, oracle.delays_of(tag, &trace[i], &trace[i + 1])))
         } else {
             None
         };
+        let next_delays = next.map(|(_, d)| d);
         let ctx = CycleContext {
             prev: &trace[i - 1],
             cur: &trace[i],
-            tag: ntc_isa::ErrorTag::of(&trace[i - 1], &trace[i]),
+            tag: cur_tag,
             delays: cur_delays,
             next_delays,
             base_clock: clock,
@@ -147,7 +152,8 @@ pub fn run_scheme(
                 corruptions += 1;
             }
         }
-        if let Some(d) = next_delays {
+        if let Some((tag, d)) = next {
+            cur_tag = tag;
             cur_delays = d;
         }
     }
@@ -309,6 +315,38 @@ mod tests {
         );
         assert!(r_dcs.performance() > r_razor.performance());
         assert!(r_dcs.prediction_accuracy() > 50.0);
+    }
+
+    /// Records each cycle's context, checking its tag against its pair.
+    #[derive(Default)]
+    struct TagProbe {
+        delays: Vec<crate::tag_delay::CycleDelays>,
+    }
+
+    impl ResilienceScheme for TagProbe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+
+        fn on_cycle(&mut self, ctx: &CycleContext<'_>) -> CycleOutcome {
+            let cycle = self.delays.len();
+            assert_eq!(ctx.tag, ErrorTag::of(ctx.prev, ctx.cur), "cycle {cycle}");
+            self.delays.push(ctx.delays);
+            CycleOutcome::Clean
+        }
+    }
+
+    #[test]
+    fn every_cycle_carries_the_tag_and_delays_of_its_own_pair() {
+        let (mut oracle, trace, clock) = setup();
+        let mut probe = TagProbe::default();
+        let _ = run_scheme(&mut probe, &mut oracle, &trace, clock, Pipeline::core1());
+        assert_eq!(probe.delays.len(), trace.len() - 1);
+        let (mut fresh, _, _) = setup();
+        for (i, pair) in trace.windows(2).enumerate() {
+            let exact = fresh.delays(&pair[0], &pair[1]);
+            assert_eq!(probe.delays[i], exact, "cycle {i}");
+        }
     }
 
     #[test]

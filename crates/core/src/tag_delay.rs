@@ -19,7 +19,7 @@
 //! preserved: operand values hash into one of several buckets per tag, each
 //! bucket simulated with its own real operands.
 
-use ntc_isa::{ErrorTag, Instruction};
+use ntc_isa::{ErrorTag, Instruction, ALL_OPCODES};
 use ntc_netlist::generators::alu::Alu;
 use ntc_netlist::Netlist;
 use ntc_timing::{ClockSpec, ScreenBounds, ScreenVerdict, SimWorkspace};
@@ -221,12 +221,38 @@ pub struct CycleDelays {
     pub max_ps: Option<f64>,
 }
 
+/// Distinct halves of an [`ErrorTag`]: every opcode with either OWM bit.
+const TAG_HALVES: usize = 2 * ALL_OPCODES.len();
+
+/// Tag slots of an oracle's delay table: one per `(current, previous)`
+/// pair of tag halves.
+const TAG_SLOTS: usize = TAG_HALVES * TAG_HALVES;
+
+/// Largest accepted [`OracleConfig::buckets_per_tag`]. Each oracle holds a
+/// dense table of 1,936 tag slots × buckets entries of 32 bytes — about
+/// 62 KB per bucket, so 4 MB at this bound — allocated whole when the
+/// oracle is built. The bound keeps a stray setting from turning every
+/// chip into a multi-gigabyte allocation, and keeps bucket indices far
+/// inside the `u32` the operand-bucket hash returns.
+pub const MAX_BUCKETS_PER_TAG: usize = 64;
+
+/// Dense index of `(tag, bucket)` in a table of `buckets` buckets per
+/// tag slot, laid out as `[cur opcode][cur OWM][prev opcode][prev OWM]
+/// [bucket]`.
+#[inline]
+fn slot(tag: ErrorTag, bucket: u32, buckets: usize) -> usize {
+    let cur = 2 * tag.opcode as usize + tag.owm as usize;
+    let prev = 2 * tag.prev_opcode as usize + tag.prev_owm as usize;
+    (cur * TAG_HALVES + prev) * buckets + bucket as usize
+}
+
 /// Configuration of the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleConfig {
     /// Operand buckets per tag: distinct gate-level samples kept for one
     /// `(prev, cur)` opcode+OWM tag. More buckets = finer within-tag
-    /// delay diversity at more Phase-A cost.
+    /// delay diversity at more Phase-A cost. At most
+    /// [`MAX_BUCKETS_PER_TAG`]; 0 behaves as 1.
     pub buckets_per_tag: usize,
 }
 
@@ -250,6 +276,9 @@ struct ScreenedEntry {
     cur: Instruction,
 }
 
+/// Marks a slot of [`ScreenState::screened`] that holds no envelope.
+const UNSCREENED: u32 = u32::MAX;
+
 /// Screen tier of a [`TagDelayOracle`]: shared bound tables, the clock the
 /// current run screens against (if any), and the screened-bucket side table.
 #[derive(Debug)]
@@ -261,7 +290,12 @@ struct ScreenState {
     /// `None` between runs: every access then promotes screened buckets
     /// back to exact delays.
     armed: Option<ClockSpec>,
-    screened: HashMap<(ErrorTag, u32), ScreenedEntry>,
+    /// Per-slot index into `entries`, [`UNSCREENED`] for a slot that
+    /// holds no envelope. Promotion resets the index; the dead entry
+    /// stays behind, and since a promoted slot is exact for good, at most
+    /// one entry per slot is ever pushed.
+    screened: Vec<u32>,
+    entries: Vec<ScreenedEntry>,
 }
 
 impl ScreenState {
@@ -289,8 +323,11 @@ pub struct TagDelayOracle {
     netlist: Netlist,
     signature: ChipSignature,
     width: usize,
-    config: OracleConfig,
-    cache: HashMap<(ErrorTag, u32), CycleDelays>,
+    /// Operand buckets per tag slot: `config.buckets_per_tag`, at least 1.
+    buckets: usize,
+    /// The exact tier, indexed by [`slot`]: a bucket's delays once its
+    /// first pair has been resolved exactly.
+    cache: Vec<Option<CycleDelays>>,
     shared: Option<SharedDelayCache>,
     screen: Option<ScreenState>,
     /// Precomputed critical delays (from the chip memo pool); computed on
@@ -312,7 +349,7 @@ impl std::fmt::Debug for TagDelayOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TagDelayOracle")
             .field("gates", &self.netlist.len())
-            .field("cached", &self.cache.len())
+            .field("cached", &self.cache_len())
             .field("gate_sims", &self.gate_sims)
             .finish_non_exhaustive()
     }
@@ -338,10 +375,17 @@ impl TagDelayOracle {
     ///
     /// # Panics
     ///
-    /// Panics if the signature length does not match the netlist, or the
-    /// netlist lacks the `op`/`a`/`b` input ports of an ALU-shaped block.
+    /// Panics if the signature length does not match the netlist, the
+    /// netlist lacks the `op`/`a`/`b` input ports of an ALU-shaped block,
+    /// or `config.buckets_per_tag` exceeds [`MAX_BUCKETS_PER_TAG`].
     pub fn new(netlist: Netlist, signature: ChipSignature, config: OracleConfig) -> Self {
         assert_eq!(signature.delays_ps().len(), netlist.len());
+        assert!(
+            config.buckets_per_tag <= MAX_BUCKETS_PER_TAG,
+            "buckets_per_tag {} exceeds MAX_BUCKETS_PER_TAG ({MAX_BUCKETS_PER_TAG})",
+            config.buckets_per_tag
+        );
+        let buckets = config.buckets_per_tag.max(1);
         let width = netlist
             .input_port("a")
             .expect("ALU-shaped netlist with an `a` port")
@@ -353,8 +397,8 @@ impl TagDelayOracle {
             netlist,
             signature,
             width,
-            config,
-            cache: HashMap::new(),
+            buckets,
+            cache: vec![None; TAG_SLOTS * buckets],
             shared: None,
             screen: None,
             nominal_critical_ps: None,
@@ -400,7 +444,8 @@ impl TagDelayOracle {
         self.screen = Some(ScreenState {
             bounds,
             armed: None,
-            screened: HashMap::new(),
+            screened: vec![UNSCREENED; self.cache.len()],
+            entries: Vec::new(),
         });
         self
     }
@@ -443,7 +488,9 @@ impl TagDelayOracle {
     /// Number of `(tag, bucket)` entries currently held as screened
     /// envelopes rather than exact delays.
     pub fn screened_len(&self) -> usize {
-        self.screen.as_ref().map_or(0, |s| s.screened.len())
+        self.screen.as_ref().map_or(0, |s| {
+            s.screened.iter().filter(|&&i| i != UNSCREENED).count()
+        })
     }
 
     /// The nominal (PV-free) critical delay of this oracle's netlist at its
@@ -483,33 +530,59 @@ impl TagDelayOracle {
     /// which pair defines a bucket — the property the bit-identical-results
     /// contract rests on.
     pub fn delays(&mut self, prev: &Instruction, cur: &Instruction) -> CycleDelays {
-        let tag = ErrorTag::of(prev, cur);
-        let bucket = operand_bucket(prev, cur, self.config.buckets_per_tag);
-        let key = (tag, bucket);
-        if let Some(d) = self.cache.get(&key) {
+        self.delays_of(ErrorTag::of(prev, cur), prev, cur)
+    }
+
+    /// [`delays`](Self::delays) for a caller that already holds the
+    /// pair's tag, `tag == ErrorTag::of(prev, cur)` — `run_scheme` builds
+    /// each tag once and hands it both here and to the scheme.
+    #[inline]
+    pub fn delays_of(
+        &mut self,
+        tag: ErrorTag,
+        prev: &Instruction,
+        cur: &Instruction,
+    ) -> CycleDelays {
+        debug_assert_eq!(tag, ErrorTag::of(prev, cur), "tag of another pair");
+        let slot = slot(tag, operand_bucket(prev, cur, self.buckets), self.buckets);
+        if let Some(d) = self.cache[slot] {
             telemetry::add(Counter::LocalHits, 1);
-            return *d;
+            return d;
         }
+        self.resolve(slot, tag, prev, cur)
+    }
+
+    /// A lookup that missed the exact tier: replay or promote a screened
+    /// envelope, else resolve the bucket's first pair through the shared
+    /// cache, the screen or the kernel.
+    fn resolve(
+        &mut self,
+        slot: usize,
+        tag: ErrorTag,
+        prev: &Instruction,
+        cur: &Instruction,
+    ) -> CycleDelays {
         if let Some(state) = &mut self.screen {
-            let armed = state.armed;
-            if let Some(clock) = armed {
-                if let Some(e) = state.screened.get(&key) {
-                    if ScreenState::replayable(e, &clock) {
-                        self.screen_hits += 1;
-                        telemetry::add(Counter::ScreenHits, 1);
-                        return e.delays;
-                    }
+            let index = state.screened[slot];
+            if index != UNSCREENED {
+                let entry = state.entries[index as usize];
+                if state
+                    .armed
+                    .is_some_and(|clock| ScreenState::replayable(&entry, &clock))
+                {
+                    self.screen_hits += 1;
+                    telemetry::add(Counter::ScreenHits, 1);
+                    return entry.delays;
                 }
-            }
-            if let Some(entry) = state.screened.remove(&key) {
                 // Unarmed access, or an envelope admitted under a looser
                 // clock than the one now armed: rebuild the exact value an
                 // unscreened oracle would hold by simulating the bucket's
                 // original first pair — not the current one.
+                state.screened[slot] = UNSCREENED;
                 self.screen_fallbacks += 1;
                 telemetry::add(Counter::ScreenFallbacks, 1);
                 let d = self.simulate_uncached(tag, &entry.prev, &entry.cur);
-                self.cache.insert(key, d);
+                self.cache[slot] = Some(d);
                 return d;
             }
         }
@@ -520,7 +593,7 @@ impl TagDelayOracle {
         if let Some(shared) = &self.shared {
             if let Some(d) = shared.get(&full) {
                 telemetry::add(Counter::SharedHits, 1);
-                self.cache.insert(key, d);
+                self.cache[slot] = Some(d);
                 return d;
             }
         }
@@ -528,53 +601,37 @@ impl TagDelayOracle {
             if let Some(clock) = state.armed {
                 encode_into(self.width, prev, &mut self.pi_init);
                 encode_into(self.width, cur, &mut self.pi_sens);
-                match state.bounds.screen(&self.pi_init, &self.pi_sens, &clock) {
-                    ScreenVerdict::Quiet => {
-                        self.screen_hits += 1;
-                        telemetry::add(Counter::ScreenHits, 1);
-                        let d = CycleDelays {
-                            min_ps: None,
-                            max_ps: None,
-                        };
-                        state.screened.insert(
-                            key,
-                            ScreenedEntry {
-                                delays: d,
-                                prev: *prev,
-                                cur: *cur,
-                            },
-                        );
-                        return d;
-                    }
-                    ScreenVerdict::Safe { min_ps, max_ps } => {
-                        self.screen_hits += 1;
-                        telemetry::add(Counter::ScreenHits, 1);
-                        let d = CycleDelays {
-                            min_ps: Some(min_ps),
-                            max_ps: Some(max_ps),
-                        };
-                        state.screened.insert(
-                            key,
-                            ScreenedEntry {
-                                delays: d,
-                                prev: *prev,
-                                cur: *cur,
-                            },
-                        );
-                        return d;
-                    }
-                    ScreenVerdict::Inconclusive => {
-                        self.screen_misses += 1;
-                        telemetry::add(Counter::ScreenMisses, 1);
-                    }
+                let delays = match state.bounds.screen(&self.pi_init, &self.pi_sens, &clock) {
+                    ScreenVerdict::Quiet => Some(CycleDelays {
+                        min_ps: None,
+                        max_ps: None,
+                    }),
+                    ScreenVerdict::Safe { min_ps, max_ps } => Some(CycleDelays {
+                        min_ps: Some(min_ps),
+                        max_ps: Some(max_ps),
+                    }),
+                    ScreenVerdict::Inconclusive => None,
+                };
+                if let Some(d) = delays {
+                    self.screen_hits += 1;
+                    telemetry::add(Counter::ScreenHits, 1);
+                    state.screened[slot] = state.entries.len() as u32;
+                    state.entries.push(ScreenedEntry {
+                        delays: d,
+                        prev: *prev,
+                        cur: *cur,
+                    });
+                    return d;
                 }
+                self.screen_misses += 1;
+                telemetry::add(Counter::ScreenMisses, 1);
             } else {
                 self.screen_fallbacks += 1;
                 telemetry::add(Counter::ScreenFallbacks, 1);
             }
         }
         let d = self.simulate_uncached(tag, prev, cur);
-        self.cache.insert(key, d);
+        self.cache[slot] = Some(d);
         d
     }
 
@@ -634,7 +691,7 @@ impl TagDelayOracle {
 
     /// Number of cached (tag, bucket) delay entries.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.cache.iter().filter(|d| d.is_some()).count()
     }
 
     /// The bound netlist.
@@ -942,6 +999,98 @@ mod tests {
         assert_eq!(o.screen_fallback_count(), 1, "stale envelope rejected");
         assert_eq!(o.screened_len(), 0);
         assert_eq!(d, exact.delays(&p, &c), "promotion restores exact delays");
+    }
+
+    #[test]
+    fn promotion_turns_the_screened_slot_exact() {
+        let mut o = oracle();
+        let bounds = screen_for(&o);
+        let clock = loose_clock(&o);
+        o = o.with_screen(bounds);
+        o.arm_screen(&clock);
+        let p = Instruction::new(Opcode::Addu, 1, 2);
+        let c = Instruction::new(Opcode::Addu, 0xFFFF, 3);
+        let bucket = operand_bucket(&p, &c, o.buckets);
+        let at = slot(ErrorTag::of(&p, &c), bucket, o.buckets);
+        let _ = o.delays(&p, &c);
+        assert_eq!(o.screened_len(), 1, "loose clock screens the bucket");
+        assert!(o.cache[at].is_none(), "a screened bucket is not exact yet");
+        o.disarm_screen();
+        let exact = o.delays(&p, &c);
+        assert_eq!(o.screened_len(), 0, "promotion drops the envelope");
+        assert_eq!(o.cache[at], Some(exact), "the slot now reads as exact");
+        // Re-armed, the promoted bucket answers from the exact tier: no
+        // screen hit, no fallback, no simulation.
+        o.arm_screen(&clock);
+        let counts = |o: &TagDelayOracle| {
+            let fallbacks = o.screen_fallback_count();
+            (o.gate_sim_count(), o.screen_hit_count(), fallbacks)
+        };
+        let before = counts(&o);
+        assert_eq!(o.delays(&p, &c), exact);
+        assert_eq!(counts(&o), before);
+    }
+
+    #[test]
+    fn slot_is_injective_and_in_range() {
+        let halves: Vec<(u8, bool)> = ALL_OPCODES
+            .iter()
+            .flat_map(|op| [(op.encoding(), false), (op.encoding(), true)])
+            .collect();
+        assert_eq!(halves.len(), TAG_HALVES);
+        for buckets in [1, 2, MAX_BUCKETS_PER_TAG] {
+            let mut seen = vec![false; TAG_SLOTS * buckets];
+            for &(opcode, owm) in &halves {
+                for &(prev_opcode, prev_owm) in &halves {
+                    let tag = ErrorTag {
+                        opcode,
+                        owm,
+                        prev_opcode,
+                        prev_owm,
+                    };
+                    for bucket in 0..buckets as u32 {
+                        let i = slot(tag, bucket, buckets);
+                        assert!(i < seen.len(), "{tag:?}/{bucket} of {buckets} out of range");
+                        assert!(!seen[i], "{tag:?}/{bucket} of {buckets} collides");
+                        seen[i] = true;
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "every slot is reachable");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_BUCKETS_PER_TAG")]
+    fn too_many_buckets_per_tag_is_rejected() {
+        let _ = TagDelayOracle::for_chip(
+            Corner::NTC,
+            VariationParams::ntc(),
+            11,
+            OracleConfig {
+                buckets_per_tag: MAX_BUCKETS_PER_TAG + 1,
+            },
+        );
+    }
+
+    #[test]
+    fn zero_buckets_per_tag_behaves_as_one() {
+        let build = |buckets_per_tag| {
+            TagDelayOracle::for_chip(
+                Corner::NTC,
+                VariationParams::ntc(),
+                11,
+                OracleConfig { buckets_per_tag },
+            )
+        };
+        let (mut zero, mut one) = (build(0), build(1));
+        let prev = Instruction::new(Opcode::Addu, 0, 0);
+        for a in [1u64, 0xFF, 0x1234] {
+            let cur = Instruction::new(Opcode::Addu, a, 1);
+            assert_eq!(zero.delays(&prev, &cur), one.delays(&prev, &cur));
+        }
+        assert_eq!(zero.cache.len(), one.cache.len());
+        assert_eq!(zero.gate_sim_count(), 1, "one bucket speaks for all");
     }
 
     #[test]
